@@ -6,7 +6,8 @@
 #   make mypy          strict typing gate (skipped gracefully if mypy absent)
 #   make test          tier-1 test suite (default/batched engine)
 #   make test-scalar   tier-1 suite forced onto the scalar reference engine
-#   make differential  scalar-vs-batched bit-identity tests
+#   make differential  identity gates: scalar-vs-batched engine, array-vs-loop
+#                      mapping path, golden /map response bytes
 #   make bench-engine  engine speedup smoke benchmark
 #   make spec-smoke    declarative-spec gate: cold run, warm run all-hits
 #   make serve-smoke   boot `repro serve`, round-trip, SIGTERM drain
@@ -51,8 +52,13 @@ test:
 test-scalar:
 	REPRO_SIM_ENGINE=scalar $(PYTHON) -m pytest tests -x -q
 
+# Identity contracts: the batched engine against the scalar one, and the
+# array code on the /map miss path (canonical form, merge-round H, blossom
+# matcher, locality) against its loop references in tests/reference, plus
+# the golden /map response bytes written by those loops.
 differential:
-	$(PYTHON) -m pytest tests/machine/test_engine_differential.py -q
+	$(PYTHON) -m pytest tests/machine/test_engine_differential.py \
+		tests/test_array_differential.py tests/service/test_map_golden.py -q
 
 bench-engine:
 	$(PYTHON) -m pytest benchmarks/bench_engine_speedup.py -q

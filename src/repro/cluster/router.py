@@ -73,11 +73,12 @@ from repro.obs.stitch import stitch_cluster_trace
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.service.app import Response, _error_body
 from repro.service.cache import LRUTTLCache
-from repro.service.canonical import canonical_form, canonical_key
+from repro.service.canonical import canonical_form, canonical_key, normalize_matrix
 from repro.service.client import AsyncMappingClient
 from repro.service.http import MappingServer, _Request
 from repro.service.metrics import _MetricAttr
 from repro.util.rng import derive_seed
+from repro.util.validation import ValidationError
 
 _JSON_SEPARATORS = (",", ":")
 
@@ -480,12 +481,14 @@ class ClusterRouter:
         return info
 
     def _canonicalize(self, body: bytes) -> Optional[_RouteInfo]:
-        """Mirror the shard's parse→canonicalize steps; None on any doubt.
+        """Mirror the shard's parse→normalize→canonicalize; None on any doubt.
 
-        Uses the exact :mod:`repro.service.canonical` code path so the
-        router's key always equals the key the shard will answer with;
-        anything that fails the cheap structural checks routes by body
-        hash instead and lets the shard produce the authoritative 400.
+        Uses the shard's own :func:`~repro.service.canonical.normalize_matrix`
+        and :mod:`repro.service.canonical` code path, so the router's key
+        always equals the key the shard will answer with — also for
+        asymmetric bodies, a non-zero diagonal or signed zeros.  Anything
+        that fails validation routes by body hash instead and lets the
+        shard produce the authoritative 400.
         """
         cfg = self.config
         try:
@@ -516,9 +519,13 @@ class ClusterRouter:
         if raw.ndim != 2 or raw.shape[0] != raw.shape[1] or raw.shape[0] < 1:
             return None
         n = int(raw.shape[0])
-        if n > cfg.max_threads or not bool(np.isfinite(raw).all()):
+        if n > cfg.max_threads:
             return None
-        canon, perm = canonical_form(raw)
+        try:
+            matrix = normalize_matrix(raw)
+        except ValidationError:
+            return None
+        canon, perm = canonical_form(matrix)
         key = canonical_key(canon, spec)
         return _RouteInfo(
             key=key,

@@ -48,13 +48,34 @@ def _as_array(comm: MatrixLike) -> np.ndarray:
     return a
 
 
-def _group_affinity(m: np.ndarray, a: Sequence[int], b: Sequence[int]) -> float:
-    """Total communication between two groups (the generalized H)."""
-    ra = [t for t in a if t is not _DUMMY]
-    rb = [t for t in b if t is not _DUMMY]
-    if not ra or not rb:
-        return 0.0
-    return float(m[np.ix_(ra, rb)].sum())
+def _affinity_matrix(m: np.ndarray, work: List[List[int]]) -> np.ndarray:
+    """The generalized H over one round's groups (padding slots dropped).
+
+    ``h[i, j]`` is the total communication between groups ``i`` and
+    ``j``: for singletons it is M, for pairs the paper's formula.  Group
+    pairs are gathered in one block per pair of real sizes, and each
+    block is summed along its flattened row, which adds the same values
+    in the same order as summing ``m[np.ix_(a, b)]`` as a whole.  Only
+    the upper triangle is summed; the lower one is its mirror, because
+    the transposed block would add the same values in another order.
+    """
+    g = len(work)
+    h = np.zeros((g, g), dtype=float)
+    members = [[t for t in group if t is not _DUMMY] for group in work]
+    sizes = np.array([len(r) for r in members])
+    table = np.zeros((g, int(sizes.max(initial=0))), dtype=np.intp)
+    for i, real in enumerate(members):
+        table[i, : len(real)] = real
+    rows, cols = np.nonzero(np.arange(g)[:, None] < np.arange(g))
+    for sa, sb in sorted(set(zip(sizes[rows].tolist(), sizes[cols].tolist()))):
+        if not sa or not sb:
+            continue
+        pick = (sizes[rows] == sa) & (sizes[cols] == sb)
+        a, b = rows[pick], cols[pick]
+        blocks = m[table[a, :sa, None], table[b, None, :sb]]
+        h[a, b] = blocks.reshape(a.size, sa * sb).sum(axis=1)
+    h[cols, rows] = h[rows, cols]
+    return h
 
 
 def _merge_once(
@@ -71,11 +92,7 @@ def _merge_once(
         if tracer.enabled
         else None
     )
-    h = np.zeros((g, g), dtype=float)
-    for i in range(g):
-        for j in range(i + 1, g):
-            h[i, j] = h[j, i] = _group_affinity(m, work[i], work[j])
-    pairs = matcher(h)
+    pairs = matcher(_affinity_matrix(m, work))
     if span is not None:
         tracer.end(span, args={"pairs": len(pairs)})
     if 2 * len(pairs) != g:

@@ -68,6 +68,9 @@ def communication_locality(
 
     Returns fractions for ``same_l2``, ``same_chip`` (excluding same-L2)
     and ``cross_chip``; they sum to 1 when any communication exists.
+    Each level's total adds its pairs' amounts one after another in
+    row-major upper-triangle order (``np.add.accumulate``), so it is the
+    same float a pair-by-pair running sum gives.
     """
     m = _as_array(comm)
     n = m.shape[0]
@@ -75,18 +78,22 @@ def communication_locality(
     out = {"same_l2": 0.0, "same_chip": 0.0, "cross_chip": 0.0}
     if total == 0:
         return out
-    for i in range(n):
-        for j in range(i + 1, n):
-            amt = m[i, j]
-            if amt == 0:
-                continue
-            a, b = mapping[i], mapping[j]
-            if topology.l2_of_core(a) == topology.l2_of_core(b):
-                out["same_l2"] += amt
-            elif topology.chip_of_core(a) == topology.chip_of_core(b):
-                out["same_chip"] += amt
-            else:
-                out["cross_chip"] += amt
+    rows, cols = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    amounts = m[rows, cols]
+    cores = np.asarray(mapping)
+    l2 = cores // topology.cores_per_l2
+    chip = cores // topology.cores_per_chip
+    same_l2 = l2[rows] == l2[cols]
+    same_chip = ~same_l2 & (chip[rows] == chip[cols])
+    nonzero = amounts != 0
+    for level, mask in (
+        ("same_l2", same_l2),
+        ("same_chip", same_chip),
+        ("cross_chip", ~same_l2 & ~same_chip),
+    ):
+        picked = amounts[mask & nonzero]
+        if picked.size:
+            out[level] = np.add.accumulate(picked)[-1]
     return {k: v / total for k, v in out.items()}
 
 

@@ -75,7 +75,14 @@ from repro.obs.context import TraceContext, context_from_env
 from repro.obs.export import chrome_trace, render_chrome_json
 from repro.obs.trace import NULL_TRACER, Tracer, get_tracer
 from repro.service.cache import LRUTTLCache
-from repro.service.canonical import canonical_form, canonical_key, unpermute
+from repro.service.canonical import (
+    canonical_form,
+    canonical_key,
+    normalize_matrix,
+    pack_canonical,
+    unpack_canonical,
+    unpermute,
+)
 from repro.service.metrics import ServiceMetrics
 from repro.util.validation import ValidationError
 
@@ -187,7 +194,8 @@ class MappingService:
         #: Canonical matrices by canonical key, so ``/map/delta`` can
         #: reconstruct a base matrix from a prior response's ``key``
         #: without the client re-sending it.  Entries are
-        #: ``(canon_bytes, n, topo_spec)``.
+        #: ``(pack_canonical(canon), n, topo_spec)``: the strict upper
+        #: triangle, half the bytes of the square matrix.
         self._matrix_cache: LRUTTLCache[
             Tuple[bytes, int, worker.TopoSpec]
         ] = LRUTTLCache(cfg.cache_entries, cfg.cache_ttl, clock)
@@ -316,7 +324,7 @@ class MappingService:
             tracer.end(cspan, args={"threads": matrix.shape[0]})
         # Retain the canonical matrix so later /map/delta requests can
         # reference this solve by key instead of re-sending the matrix.
-        self._matrix_cache.put(key, (canon.tobytes(), matrix.shape[0], spec))
+        self._matrix_cache.put(key, (pack_canonical(canon), matrix.shape[0], spec))
         assignment, cache_state, error = await self._solve_canonical(
             key, canon, matrix.shape[0], spec, parent_id
         )
@@ -487,8 +495,8 @@ class MappingService:
                 "cache (expired or never solved here); POST the full "
                 "matrix to /map first",
             )
-        canon_bytes, n, spec = entry
-        canon = np.frombuffer(canon_bytes, dtype=np.float64).reshape(n, n)
+        packed, n, spec = entry
+        canon = unpack_canonical(packed, n)
         try:
             base_cm, window_cm, policy, current_mapping = self._build_delta(
                 doc, canon, n, spec
@@ -511,7 +519,7 @@ class MappingService:
         key2 = canonical_key(canon2, spec)
         if cspan is not None:
             tracer.end(cspan, args={"threads": n})
-        self._matrix_cache.put(key2, (canon2.tobytes(), n, spec))
+        self._matrix_cache.put(key2, (pack_canonical(canon2), n, spec))
         cache_state = "none"
         decision = policy.pre_gate(window_cm, 0, drift)
         if decision is None:
@@ -566,8 +574,11 @@ class MappingService:
         :class:`~repro.cluster.replica.ReplicaEntry` documents; applying
         one populates both the solve cache (warm ``/map``) and the
         canonical-matrix cache (serviceable ``/map/delta`` base), so one
-        solve anywhere is a warm hit everywhere.  Each entry's key is
-        recomputed from its canonical bytes before acceptance — a
+        solve anywhere is a warm hit everywhere.  Each entry's canonical
+        matrix must be one a shard could have produced — finite,
+        non-negative without ``-0.0``, exactly symmetric with a ``+0.0``
+        diagonal, so its packed triangle is lossless — and its key is
+        recomputed from its canonical bytes before acceptance; a
         corrupted or mis-keyed push is rejected rather than poisoning
         the caches.
         """
@@ -602,6 +613,19 @@ class MappingService:
             canon = np.frombuffer(canon_bytes, dtype=np.float64).reshape(
                 entry.n, entry.n
             )
+            packed = pack_canonical(canon)
+            if (
+                not np.isfinite(canon).all()
+                or np.signbit(canon).any()
+                or unpack_canonical(packed, entry.n).tobytes() != canon_bytes
+            ):
+                self.metrics.validation_errors_total += 1
+                return 400, {}, _error_body(
+                    "InvalidReplication",
+                    f"replica entry {entry.key!r} is not a canonical matrix: "
+                    "it must be finite, non-negative (no -0.0) and exactly "
+                    "symmetric with a zero diagonal",
+                )
             if canonical_key(canon, entry.spec) != entry.key:
                 self.metrics.validation_errors_total += 1
                 return 400, {}, _error_body(
@@ -617,7 +641,7 @@ class MappingService:
                 duplicate += 1
                 continue
             self._solve_cache.put(entry.key, assignment)
-            self._matrix_cache.put(entry.key, (canon_bytes, entry.n, entry.spec))
+            self._matrix_cache.put(entry.key, (packed, entry.n, entry.spec))
             applied += 1
         self.metrics.replication_applied_total += applied
         self.metrics.replication_duplicate_total += duplicate
@@ -705,7 +729,7 @@ class MappingService:
                 f"matrix has {n} threads, limit is {self.config.max_threads}",
             )
         try:
-            cm = CommunicationMatrix.from_array(raw)
+            matrix = normalize_matrix(raw)
         except ValidationError as exc:
             raise _BadRequest("ValidationError", str(exc)) from exc
         topology = worker.topology_from_spec(spec)
@@ -715,7 +739,7 @@ class MappingService:
                 f"{n} threads will not fit on {topology.num_cores} cores "
                 "(one thread per core)",
             )
-        return cm.matrix, topology, spec
+        return matrix, topology, spec
 
     def _parse_topology(self, doc: Any) -> worker.TopoSpec:
         if doc is None:

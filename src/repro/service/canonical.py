@@ -36,6 +36,17 @@ interchangeable, permutations may land in different cache entries — a
 cache-efficiency loss only, never a correctness loss, because each
 entry is solved from its own exact bytes.
 
+Both stages are array code over the matrix's inverted IEEE-754 bits (a
+uint64 per weight whose numeric order is the byte order the signatures
+hash): a refinement round is one row-wise sort plus one sha256 per
+thread, and a greedy step is one dense re-rank of the remaining threads.
+They return exactly what the per-element formulation returns — the
+identity contract ``tests/test_array_differential.py`` checks against
+the loop version kept in ``tests/reference``.
+
+Requests reach :func:`canonical_form` through :func:`normalize_matrix`,
+the one normalization the shard and the cluster router share.
+
 Hashing feeds :func:`repro.experiments.cache.config_key`, the same
 config-hash machinery the experiment runner's on-disk cache uses, so a
 key is a stable function of (schema, canonical bytes, topology).
@@ -48,6 +59,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.core.commmatrix import CommunicationMatrix
 from repro.experiments.cache import config_key
 
 #: Bump when the canonicalization or response semantics change, so stale
@@ -56,63 +68,121 @@ from repro.experiments.cache import config_key
 SERVICE_SCHEMA = 1
 
 
-_LITTLE_ENDIAN = np.little_endian
+def normalize_matrix(raw: np.ndarray) -> np.ndarray:
+    """The one input normalization in front of canonicalization.
 
-
-def _weight_bytes(w: float) -> bytes:
-    """A weight as 8 bytes whose lexicographic order is *descending* numeric.
-
-    Big-endian IEEE-754 bytes order non-negative doubles numerically;
-    inverting the bits flips that, so heavier edges sort first.  Greedy
-    individualization therefore attaches each new thread to the heaviest
-    link into the placed prefix — the structurally meaningful choice
-    (e.g. a thread's pair partner, a ring neighbour).  Weights are
-    non-negative by validation.
+    Validates the request matrix (square, finite, non-negative — a
+    :class:`~repro.util.validation.ValidationError` otherwise),
+    symmetrizes it and clears its diagonal exactly as
+    :meth:`CommunicationMatrix.from_array` does, then maps ``-0.0`` to
+    ``+0.0``.  Signed zeros pass validation but would otherwise rank as
+    the heaviest weight in :func:`canonical_form` and split one matrix
+    into two cache entries.  The shard and the router both call this, so
+    the router's routing key is the key the shard answers with.
     """
-    raw = np.float64(w).tobytes()[::-1] if _LITTLE_ENDIAN else np.float64(w).tobytes()
-    return bytes(0xFF - b for b in raw)
+    m = CommunicationMatrix.from_array(raw).matrix
+    m[m == 0.0] = 0.0
+    return m
 
 
-def _partition(sigs: List[bytes]) -> List[Tuple[int, ...]]:
-    """The signature classes as a canonical list of index tuples."""
-    groups: dict = {}
-    for i, s in enumerate(sigs):
-        groups.setdefault(s, []).append(i)
-    return sorted(tuple(v) for v in groups.values())
+def _inverted_bits(m: np.ndarray) -> np.ndarray:
+    """Each weight as a uint64 whose numeric order is *descending* weight.
+
+    The big-endian bytes of these integers are the weight encoding the
+    signatures hash: IEEE-754 bits order non-negative doubles
+    numerically, and inverting them flips that, so heavier edges sort
+    first.  Greedy individualization therefore attaches each new thread
+    to the heaviest link into the placed prefix — the structurally
+    meaningful choice (e.g. a thread's pair partner, a ring neighbour).
+    """
+    return ~np.ascontiguousarray(m, dtype=np.float64).view(np.uint64)
 
 
-def _refine_signatures(m: np.ndarray) -> List[bytes]:
-    """Weighted 1-WL refinement; returns one stable signature per thread."""
-    n = m.shape[0]
-    # Initial signature: the sorted multiset of the row's exact weights.
-    # (Not the row *sum* — float addition is order-sensitive, so a
-    # permuted copy could sum to a different last ULP and split the
-    # partition spuriously.)
-    sigs = []
-    for i in range(n):
-        h = hashlib.sha256(b"row\x00")
-        for item in sorted(_weight_bytes(m[i, j]) for j in range(n) if j != i):
-            h.update(item)
-        sigs.append(h.digest())
-    classes = _partition(sigs)
+def _first_of_class(sigs: List[bytes]) -> List[int]:
+    """Each thread's smallest class-mate: a canonical form of the partition."""
+    first: dict = {}
+    return [first.setdefault(s, i) for i, s in enumerate(sigs)]
+
+
+def _dense_rank(sigs: List[bytes]) -> np.ndarray:
+    """Rank of each signature among the distinct ones, in byte order."""
+    rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+    return np.array([rank[s] for s in sigs], dtype=np.int64)
+
+
+def _refine_signatures(inv: np.ndarray) -> List[bytes]:
+    """Weighted 1-WL refinement; returns one stable signature per thread.
+
+    ``inv`` is :func:`_inverted_bits` of the matrix.  A thread's first
+    signature hashes the sorted multiset of its row's exact weights (not
+    the row *sum*: float addition is order-sensitive, so a permuted copy
+    could sum to a different last ULP and split the partition
+    spuriously).  Each round hashes the thread's signature followed by
+    its ``(weight, neighbour signature)`` items in byte order; one
+    row-wise ``lexsort`` on (weight bits, signature rank) produces that
+    order, because equal sort keys mean equal item bytes.
+    """
+    n = inv.shape[0]
+    steps = np.arange(n - 1)
+    cols = steps[None, :] + (steps[None, :] >= np.arange(n)[:, None])
+    rows = np.arange(n)[:, None]
+    weights = inv[rows, cols]
+    sorted_rows = np.sort(weights, axis=1).astype(">u8")
+    sigs = [
+        hashlib.sha256(b"row\x00" + sorted_rows[i].tobytes()).digest()
+        for i in range(n)
+    ]
+    weight_bytes = weights.astype(">u8").view(np.uint8).reshape(weights.shape + (8,))
+    classes = _first_of_class(sigs)
     for _ in range(n):
-        nxt: List[bytes] = []
-        for i in range(n):
-            h = hashlib.sha256()
-            h.update(sigs[i])
-            neighbors = sorted(
-                _weight_bytes(m[i, j]) + sigs[j]
-                for j in range(n)
-                if j != i
-            )
-            for item in neighbors:
-                h.update(item)
-            nxt.append(h.digest())
-        nxt_classes = _partition(nxt)
+        sig_bytes = np.frombuffer(b"".join(sigs), dtype=np.uint8).reshape(n, 32)
+        order = np.lexsort((_dense_rank(sigs)[cols], weights), axis=1)
+        items = np.concatenate(
+            (weight_bytes[rows, order], sig_bytes[cols[rows, order]]), axis=2
+        )
+        nxt = [
+            hashlib.sha256(sigs[i] + items[i].tobytes()).digest() for i in range(n)
+        ]
+        nxt_classes = _first_of_class(nxt)
         if nxt_classes == classes:
             return nxt
         sigs, classes = nxt, nxt_classes
     return sigs
+
+
+def _individualize(inv: np.ndarray, sigs: List[bytes]) -> List[int]:
+    """Greedy placement order (see the module docstring).
+
+    An unplaced thread's key is its weights to the placed threads in
+    placement order, then its signature, then its index; the smallest
+    key is placed next.  The keys stay equal-length, so their order is a
+    dense rank of the weight prefix refined by each pick's column.  Once
+    the remaining prefixes are pairwise distinct, later bytes cannot
+    reorder them and the rest of the order is final.
+    """
+    remaining = np.arange(inv.shape[0])
+    sig_rank = _dense_rank(sigs)
+    prefix = np.zeros(remaining.size, dtype=np.int64)
+    order: List[int] = []
+    while remaining.size:
+        if int(prefix.max()) + 1 == remaining.size:
+            order.extend(remaining[np.argsort(prefix)].tolist())
+            break
+        at = int(np.lexsort((remaining, sig_rank[remaining], prefix))[0])
+        pick = int(remaining[at])
+        order.append(pick)
+        remaining = np.delete(remaining, at)
+        prefix = np.delete(prefix, at)
+        column = inv[remaining, pick]
+        by_key = np.lexsort((column, prefix))
+        step = np.empty(remaining.size, dtype=np.int64)
+        step[by_key] = np.cumsum(
+            np.concatenate(
+                ([0], (np.diff(prefix[by_key]) != 0) | (np.diff(column[by_key]) != 0))
+            )
+        )
+        prefix = step
+    return order
 
 
 def canonical_form(matrix: np.ndarray) -> Tuple[np.ndarray, Tuple[int, ...]]:
@@ -124,27 +194,32 @@ def canonical_form(matrix: np.ndarray) -> Tuple[np.ndarray, Tuple[int, ...]]:
     symmetric); this function is pure and allocation-only.
     """
     m = np.asarray(matrix, dtype=np.float64)
-    n = m.shape[0]
-    sigs = _refine_signatures(m)
-    # Greedy individualization: a thread's key is its weights to the
-    # already-placed threads in placement order (heaviest-first byte
-    # encoding), then its WL signature.  Connectivity outranks the
-    # signature so the order unfolds along the heaviest links out of the
-    # placed prefix — the tie-relevant structure — instead of jumping to
-    # whichever disconnected WL class happens to hash lowest.  Keys stay
-    # equal-length, making the lexicographic min well defined.
-    keys: List[bytearray] = [bytearray() for _ in range(n)]
-    remaining = list(range(n))
-    order: List[int] = []
-    while remaining:
-        pick = min(remaining, key=lambda i: (bytes(keys[i]) + sigs[i], i))
-        remaining.remove(pick)
-        order.append(pick)
-        for i in remaining:
-            keys[i] += _weight_bytes(m[i, pick])
-    perm = tuple(order)
+    inv = _inverted_bits(m)
+    perm = tuple(_individualize(inv, _refine_signatures(inv)))
     canon = np.ascontiguousarray(m[np.ix_(perm, perm)])
     return canon, perm
+
+
+def pack_canonical(canon: np.ndarray) -> bytes:
+    """A canonical matrix as its strict upper triangle (row-major float64).
+
+    Lossless for every matrix :func:`normalize_matrix` produces — exactly
+    symmetric, ``+0.0`` diagonal — because :func:`unpack_canonical`
+    rebuilds the same bytes; it halves what a retained matrix costs.
+    """
+    n = canon.shape[0]
+    upper = np.arange(n)[:, None] < np.arange(n)
+    return np.asarray(canon, dtype=np.float64)[upper].tobytes()
+
+
+def unpack_canonical(packed: bytes, n: int) -> np.ndarray:
+    """The square matrix :func:`pack_canonical` packed."""
+    upper = np.arange(n)[:, None] < np.arange(n)
+    values = np.frombuffer(packed, dtype=np.float64)
+    canon = np.zeros((n, n))
+    canon[upper] = values
+    canon.T[upper] = values
+    return canon
 
 
 def canonical_key(canon: np.ndarray, topo_spec: Tuple[int, int, int]) -> str:

@@ -172,6 +172,57 @@ class TestReplication:
         run(scenario())
 
 
+class TestSharedNormalization:
+    """The router keys a body exactly as the shard that answers it does."""
+
+    @staticmethod
+    def raw_bodies():
+        rng = as_rng(77)
+        asymmetric = rng.integers(0, 9, (THREADS, THREADS)).astype(float)
+        np.fill_diagonal(asymmetric, 0.0)
+        diagonal = rng.integers(0, 9, (THREADS, THREADS)).astype(float)
+        diagonal = diagonal + diagonal.T
+        np.fill_diagonal(diagonal, 5.0)
+        return {"asymmetric": asymmetric, "diagonal": diagonal}
+
+    def test_route_key_is_the_answer_key(self):
+        async def scenario():
+            async with cluster(shards=3) as router:
+                out = {}
+                for name, matrix in self.raw_bodies().items():
+                    body = body_for(matrix.tolist())
+                    route_key = router._map_route_info(body).key
+                    status, headers, raw = await router.handle_map(body)
+                    assert status == 200 and headers["X-Repro-Cache"] == "miss"
+                    out[name] = (route_key, json.loads(raw)["key"])
+                return out, router.metrics.replication_publish_total
+
+        keys, published = run(scenario())
+        for name, (route_key, answer_key) in keys.items():
+            assert route_key == answer_key, name
+        # Matching keys are what lets the router replicate the solves.
+        assert published == len(keys)
+
+    def test_signed_zero_twins_route_together_and_share_a_solve(self):
+        positive = [row[:] for row in PAIR8]
+        positive[0][5] = positive[5][0] = 0.0
+        negative = [row[:] for row in positive]
+        negative[0][5] = negative[5][0] = -0.0
+
+        async def scenario():
+            async with cluster(shards=3) as router:
+                answers = []
+                for matrix in (negative, positive):
+                    status, headers, raw = await router.handle_map(body_for(matrix))
+                    assert status == 200
+                    answers.append((headers["X-Repro-Cache"], json.loads(raw)["key"]))
+                return answers
+
+        (first_cache, first_key), (second_cache, second_key) = run(scenario())
+        assert first_key == second_key
+        assert (first_cache, second_cache) == ("miss", "solve")
+
+
 class TestFailover:
     def test_dead_shard_rerouted_byte_identical(self):
         # Kill the solving shard after its cold solve; the re-routed

@@ -52,14 +52,25 @@ class TestGroupThreads:
     def test_h_function_matches_paper_for_pairs(self):
         """Our generalized group affinity must equal the paper's
         H[(x,y),(z,k)] = M[x,z]+M[x,k]+M[y,z]+M[y,k] for pairs."""
-        from repro.mapping.hierarchical import _group_affinity
+        from repro.mapping.hierarchical import _affinity_matrix
         rng = as_rng(0)
         m = rng.random((8, 8))
         m = (m + m.T) / 2
         np.fill_diagonal(m, 0)
-        x, y, z, k = 0, 3, 5, 6
-        expected = m[x, z] + m[x, k] + m[y, z] + m[y, k]
-        assert _group_affinity(m, [x, y], [z, k]) == pytest.approx(expected)
+        groups = [[0, 3], [5, 6], [1, 2], [4, 7]]
+        h = _affinity_matrix(m, groups)
+        for a, (x, y) in enumerate(groups):
+            for b, (z, k) in enumerate(groups):
+                expected = 0.0 if a == b else m[x, z] + m[x, k] + m[y, z] + m[y, k]
+                assert h[a, b] == pytest.approx(expected)
+
+    def test_h_pads_with_zero_affinity(self):
+        """A padding slot (odd group count) communicates with nobody."""
+        from repro.mapping.hierarchical import _affinity_matrix
+        m = block_matrix([(0, 1)], n=3)
+        h = _affinity_matrix(m, [[0], [1], [2], [None]])
+        assert h[0, 1] == 10.0
+        assert not h[3].any() and not h[:, 3].any()
 
     def test_invalid_sizes(self):
         m = block_matrix([(0, 1)])

@@ -1,8 +1,9 @@
 """RPL006 — no blocking calls inside ``async def`` service code.
 
-The mapping service promises that CPU-bound solves never stall the
-event loop (they go through the micro-batcher to a process pool) and
-that every await point yields promptly.  One ``time.sleep`` or
+The mapping service promises that loop-side work is bounded:
+canonicalization, plus solves of at most 16 threads while every pool
+slot is busy; every larger solve goes through the batcher to a process
+pool, and every await point yields promptly.  One ``time.sleep`` or
 synchronous ``subprocess.run`` inside a coroutine freezes *every*
 connection the loop is multiplexing — the failure mode is global, not
 local, which is why it gets a rule instead of a review note.

@@ -116,8 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="LRU capacity of the result caches")
     p.add_argument("--cache-ttl", type=float, default=300.0,
                    help="seconds a cached result stays valid (<=0 disables expiry)")
-    p.add_argument("--batch-window-ms", type=float, default=2.0,
-                   help="micro-batch coalescing window in milliseconds")
     p.add_argument("--max-batch", type=int, default=64,
                    help="max solves dispatched per executor call")
     p.add_argument("--max-pending", type=int, default=256,
@@ -365,7 +363,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache_entries=args.cache_entries,
         cache_ttl=args.cache_ttl,
-        batch_window=args.batch_window_ms / 1000.0,
         max_batch=args.max_batch,
         max_pending=args.max_pending,
         solve_deadline=args.solve_deadline,
@@ -465,7 +462,7 @@ def _trace_serve_request() -> None:
     async def run() -> None:
         # In-process worker thread (workers=0): the whole request —
         # batcher, dispatch, worker solve — lands in one trace.
-        service = MappingService(ServiceConfig(workers=0, batch_window=0.0))
+        service = MappingService(ServiceConfig(workers=0))
         await service.start()
         try:
             status, _headers, _payload = await service.handle_map(body)

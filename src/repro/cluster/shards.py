@@ -132,7 +132,8 @@ class SubprocessShardSupervisor(ShardSupervisor):
         env["PYTHONUNBUFFERED"] = "1"
         return env
 
-    def _spawn_sync(self, shard_id: str) -> Endpoint:
+    def _popen(self, shard_id: str) -> subprocess.Popen:
+        """Start ``shard_id``'s child; its banner is read separately."""
         proc = subprocess.Popen(
             self._command(),
             stdout=subprocess.PIPE,
@@ -140,6 +141,11 @@ class SubprocessShardSupervisor(ShardSupervisor):
             env=self._env(),
             text=True,
         )
+        self._procs[shard_id] = proc
+        return proc
+
+    def _await_banner(self, shard_id: str, proc: subprocess.Popen) -> Endpoint:
+        """Read ``proc``'s boot announcement; kill it if none comes."""
         assert proc.stdout is not None
         banner: List[str] = []
         for _ in range(_MAX_BOOT_LINES):
@@ -149,22 +155,27 @@ class SubprocessShardSupervisor(ShardSupervisor):
             banner.append(line)
             match = _LISTEN_RE.search(line)
             if match:
-                self._procs[shard_id] = proc
                 endpoint = (match.group(1), int(match.group(2)))
                 self._endpoints[shard_id] = endpoint
                 return endpoint
-        proc.kill()
-        proc.wait(timeout=10)
+        self._kill_sync(shard_id)
         raise ShardBootError(
             f"{shard_id} did not announce a port; output was:\n{''.join(banner)}"
         )
 
     def _start_all_sync(self) -> Dict[str, Endpoint]:
+        # Spawn every child before reading any banner, so the shards
+        # import and bind concurrently and start-up does not grow with N.
         try:
-            for shard_id in self.shard_ids:
-                if shard_id not in self._procs:
-                    self._spawn_sync(shard_id)
-        except ShardBootError:
+            booting = [
+                (shard_id, self._popen(shard_id))
+                for shard_id in self.shard_ids
+                if shard_id not in self._procs
+            ]
+            for shard_id, proc in booting:
+                self._await_banner(shard_id, proc)
+        except BaseException:
+            # A failed boot takes every spawned sibling down with it.
             self._stop_all_sync()
             raise
         return dict(self._endpoints)
@@ -172,14 +183,16 @@ class SubprocessShardSupervisor(ShardSupervisor):
     def _kill_sync(self, shard_id: str) -> None:
         proc = self._procs.pop(shard_id, None)
         self._endpoints.pop(shard_id, None)
-        if proc is None or proc.poll() is not None:
+        if proc is None:
             return
-        proc.kill()
-        proc.wait(timeout=10)
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        _close_stdout(proc)
 
     def _restart_sync(self, shard_id: str) -> Endpoint:
         self._kill_sync(shard_id)
-        return self._spawn_sync(shard_id)
+        return self._await_banner(shard_id, self._popen(shard_id))
 
     def _stop_all_sync(self, timeout: float = 30.0) -> None:
         procs = dict(self._procs)
@@ -196,6 +209,7 @@ class SubprocessShardSupervisor(ShardSupervisor):
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait(timeout=10)
+            _close_stdout(proc)
 
     # -- async surface -----------------------------------------------------------
 
@@ -220,6 +234,13 @@ class SubprocessShardSupervisor(ShardSupervisor):
         await loop.run_in_executor(None, self._stop_all_sync)
 
 
+def _close_stdout(proc: subprocess.Popen) -> None:
+    """Close an exited child's stdout pipe (never a live child's: it
+    would get EPIPE on its next write)."""
+    if proc.stdout is not None:
+        proc.stdout.close()
+
+
 class InProcessShards(ShardSupervisor):
     """N in-loop service/server pairs — the unit-test cluster."""
 
@@ -235,9 +256,7 @@ class InProcessShards(ShardSupervisor):
             f"shard-{i}" for i in range(shards)
         )
         self._config_factory = config_factory or (
-            lambda: ServiceConfig(
-                port=0, workers=0, batch_window=0.0, trace_ring=0
-            )
+            lambda: ServiceConfig(port=0, workers=0, trace_ring=0)
         )
         self._clock = clock
         self.services: Dict[str, MappingService] = {}

@@ -7,10 +7,10 @@ mapping from span name to stage: the router-side stages (``route``,
 ``ring.lookup``, ``forward``, ``replicate``) and the shard-side stages
 (``queue``, ``canonicalize``, ``solve``, ``render``).  The whole solve
 machinery — the batcher's ``batch.run`` wrapper, the service-side
-``solve.batch`` dispatch and the pool worker's ``worker.solve_batch`` —
-collapses onto the single ``solve`` stage, so attribution reports where
-a request *waited* versus where it *computed* without exposing executor
-internals as stages.
+``solve.batch`` dispatch, the pool worker's ``worker.solve_batch`` and
+the loop-side ``solve.inline`` — collapses onto the single ``solve``
+stage, so attribution reports where a request *waited* versus where it
+*computed* without exposing executor internals as stages.
 
 Spans outside the taxonomy (the ``request:/map`` roots whose self-time
 is parse/validate/cache glue, or future experiment spans) attribute
@@ -53,6 +53,7 @@ _SPAN_STAGES = {
     "replicate": "replicate",
     "batch.run": "solve",
     "solve.batch": "solve",
+    "solve.inline": "solve",
     "worker.solve_batch": "solve",
 }
 

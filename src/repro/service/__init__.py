@@ -10,10 +10,10 @@ query it repeatedly:
   normalization and hashing (feeds the config-hash machinery in
   :mod:`repro.experiments.cache`).
 * :mod:`repro.service.cache` — LRU + TTL in-memory result cache.
-* :mod:`repro.service.batcher` — single-flight micro-batcher that
-  coalesces concurrent cache misses into one process-pool dispatch.
-* :mod:`repro.service.worker` — the picklable solve entrypoint that
-  runs inside pool workers.
+* :mod:`repro.service.batcher` — single-flight batcher that dispatches
+  cache misses to the process pool whenever a pool slot is idle.
+* :mod:`repro.service.worker` — the picklable solve entrypoints that
+  run inside pool workers (and, for small solves, on the loop).
 * :mod:`repro.service.app` — :class:`MappingService`, the pipeline:
   validate → canonicalize → cache → batch → solve → render.
 * :mod:`repro.service.http` — minimal asyncio HTTP/1.1 front end
@@ -25,8 +25,9 @@ query it repeatedly:
 
 Service invariants (see DESIGN.md §10): identical request bodies yield
 byte-identical responses; N concurrent identical requests cost exactly
-one solve; the event loop never runs solver or blocking IO code
-(enforced statically by lint rule RPL006).
+one solve; loop-side work is bounded — canonicalization, plus solves of
+at most 16 threads while the pool is busy — and the loop never runs
+blocking IO code (enforced statically by lint rule RPL006).
 """
 
 from repro.service.app import MappingService, ServiceConfig

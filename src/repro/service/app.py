@@ -16,9 +16,12 @@ Request pipeline for ``POST /map``:
 3. **Canonicalize** — permutation-stable form + hash
    (:mod:`repro.service.canonical`); all relabelings of one matrix
    share a single solve-cache entry.
-4. **Solve-cache / micro-batcher** — misses coalesce into batched
-   process-pool solves with single-flight dedup
-   (:mod:`repro.service.batcher`); a full queue surfaces as 429.
+4. **Solve-cache / batcher** — misses go to the process pool through
+   the single-flight, dispatch-on-idle batcher
+   (:mod:`repro.service.batcher`); a full queue surfaces as 429.  When
+   every pool slot is busy, a miss of at most
+   :data:`INLINE_MAX_THREADS` threads is solved on the event loop
+   instead (caller-runs), by the same :func:`worker.solve_item`.
 5. **Render** — the canonical assignment is un-permuted back to the
    request's thread order, quality metrics are computed against the
    request's own matrix, and the response is serialized with sorted
@@ -91,6 +94,13 @@ Response = Tuple[int, Dict[str, str], bytes]
 
 _JSON_SEPARATORS = (",", ":")
 
+#: Largest miss (threads) the event loop solves itself when every pool
+#: slot is busy.  A pool solve costs 0.83 / 1.8 / 6.2 / 27.5 ms at
+#: n = 8 / 16 / 32 / 64 (2-CPU development host); up to n = 16 that is
+#: about what the loop already spends canonicalizing an n = 64 matrix
+#: (1.6 ms), so loop-side work stays bounded and hits barely notice it.
+INLINE_MAX_THREADS = 16
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -103,9 +113,6 @@ class ServiceConfig:
     workers: int = 1
     cache_entries: int = 4096
     cache_ttl: float = 300.0
-    #: Micro-batch window in seconds: how long a cache miss may wait for
-    #: companions before its batch dispatches.
-    batch_window: float = 0.002
     max_batch: int = 64
     #: Distinct keys allowed in flight before requests get 429.
     max_pending: int = 256
@@ -207,8 +214,8 @@ class MappingService:
         self._batcher = MicroBatcher(
             self._dispatch,
             max_batch=cfg.max_batch,
-            window=cfg.batch_window,
             max_pending=cfg.max_pending,
+            slots=max(1, cfg.workers),
             deadline=cfg.solve_deadline,
             breaker=self.breaker,
             recover=self._recover_pool,
@@ -373,7 +380,7 @@ class MappingService:
         spec: worker.TopoSpec,
         parent_id: int = 0,
     ) -> Tuple[Optional[Tuple[int, ...]], str, Optional[Response]]:
-        """Solve-cache / micro-batcher step shared by /map and /map/delta.
+        """Solve-cache / batcher step shared by /map and /map/delta.
 
         Returns ``(assignment, cache_state, error_response)``; exactly
         one of ``assignment`` / ``error_response`` is not None, so both
@@ -386,6 +393,14 @@ class MappingService:
             return assignment, "solve", None
         self.metrics.solve_cache_misses_total += 1
         payload = (canon.tobytes(), n, spec)
+        if (
+            n <= INLINE_MAX_THREADS
+            and self.config.workers >= 1
+            and self._batcher.saturated
+            and self.breaker.state == CircuitBreaker.CLOSED
+            and not self._batcher.in_flight(key)
+        ):
+            return self._solve_inline(key, payload, parent_id), "miss", None
         tracer = self.tracer
         qspan = None
         registered = False
@@ -428,6 +443,30 @@ class MappingService:
                 self._queue_parents.pop(key, None)  # repro-lint: ignore[RPL102] -- only the task that registered the key removes it (`registered` is task-local), so the entry cannot have been swapped across the await
             if qspan is not None:
                 tracer.end(qspan)
+
+    def _solve_inline(
+        self, key: str, payload: Tuple[bytes, int, worker.TopoSpec], parent_id: int
+    ) -> Tuple[int, ...]:
+        """Caller-runs: solve a small miss on the loop while the pool is busy.
+
+        No deadline (:data:`INLINE_MAX_THREADS` bounds the work) and no
+        ``worker.solve`` fault site: an injected hang must never block
+        the loop.  Counted apart from ``solves_total``, which stays the
+        pool's items.
+        """
+        tracer = self.tracer
+        span = (
+            tracer.begin("solve.inline", cat="service.stage", parent=parent_id, nest=False)
+            if tracer.enabled
+            else None
+        )
+        raw, n, spec = payload
+        assignment = worker.solve_item(key, raw, n, spec)
+        if span is not None:
+            tracer.end(span, args={"threads": n})
+        self._solve_cache.put(key, assignment)
+        self.metrics.inline_solves_total += 1
+        return assignment
 
     async def handle_delta(
         self, body: bytes, trace_ctx: Optional[TraceContext] = None

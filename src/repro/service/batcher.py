@@ -1,14 +1,17 @@
-"""Single-flight micro-batcher for cache-miss solves.
+"""Single-flight, dispatch-on-idle batcher for cache-miss solves.
 
 Solves are CPU-bound (an O(n³) blossom matching per hierarchy level)
-and must never run on the event loop.  The batcher sits between the
-request handlers and the process pool:
+and go to a process pool.  The batcher sits between the request
+handlers and that pool:
 
 * **Single-flight** — concurrent requests for the same canonical key
   share one future; N identical cache misses cost exactly one solve.
-* **Micro-batching** — distinct keys arriving within ``window`` seconds
-  (or until ``max_batch`` accumulate) are dispatched as *one* executor
-  call, amortizing inter-process serialization across the batch.
+* **Dispatch on idle** — at most ``slots`` batches are in flight (the
+  owner passes its pool size).  A key submitted while a slot is free
+  leaves at once; keys submitted while every slot is busy queue up and
+  leave together, up to ``max_batch`` per batch, as soon as a slot
+  frees.  No timer ever holds a key back: batching happens only where
+  waiting was unavoidable anyway.
 * **Backpressure** — at most ``max_pending`` keys may be in flight;
   beyond that :class:`Overloaded` is raised for the HTTP layer to turn
   into ``429 Retry-After``.
@@ -17,13 +20,16 @@ Fault tolerance (chaos-tested in ``tests/faults``):
 
 * **Deadline** — a dispatch that overruns ``deadline`` seconds is
   abandoned (:class:`DeadlineExceeded`); a hung worker must never wedge
-  the whole service.
+  the whole service.  Queued keys do not start their clock until their
+  batch is dispatched.
 * **Requeue** — a crashed (:class:`WorkerCrashed`) or timed-out batch
   is re-dispatched up to ``requeue_limit`` times after the ``recover``
   hook (the owner's pool rebuild) runs; past the limit every waiter
-  sees the failure.  Deterministic *batch* errors — a bad payload
-  raising inside the solver — are not requeued: retrying a pure
-  function on the same input cannot change the answer.
+  sees the failure.  A dispatch cancelled under a batch that is itself
+  still running (the rebuild shut its executor down) counts as a crash.
+  Deterministic *batch* errors — a bad payload raising inside the
+  solver — are not requeued: retrying a pure function on the same
+  input cannot change the answer.
 * **Circuit breaker** — consecutive dispatch failures open the
   :class:`CircuitBreaker`; while open, *new* keys are shed instantly
   with :class:`CircuitOpen` (the HTTP layer's 503 + Retry-After)
@@ -32,7 +38,8 @@ Fault tolerance (chaos-tested in ``tests/faults``):
   failure reopens it.
 
 The batcher is event-loop-confined: all bookkeeping happens on the
-loop, only the dispatch awaitable (an executor call) leaves it.
+loop, only the dispatch awaitable (an executor call) leaves it.  Every
+exit from a batch resolves all of its waiters.
 """
 
 from __future__ import annotations
@@ -156,14 +163,14 @@ class CircuitBreaker:
 
 
 class MicroBatcher:
-    """Coalesce concurrent solve requests into batched dispatches."""
+    """Single-flight solve batches, dispatched whenever a slot is idle."""
 
     def __init__(
         self,
         dispatch: Dispatch,
         max_batch: int = 64,
-        window: float = 0.002,
         max_pending: int = 256,
+        slots: int = 1,
         deadline: float = 0.0,
         breaker: Optional[CircuitBreaker] = None,
         recover: Optional[Recover] = None,
@@ -180,8 +187,9 @@ class MicroBatcher:
         #: under that request's span instead of floating at the root.
         self._span_parents = span_parents
         self.max_batch = max(1, max_batch)
-        self.window = max(0.0, window)
         self.max_pending = max(1, max_pending)
+        #: Batches allowed in flight at once (the owner's pool size).
+        self.slots = max(1, slots)
         #: Per-batch dispatch deadline in seconds (0 disables).
         self.deadline = max(0.0, deadline)
         self.breaker = breaker
@@ -189,7 +197,6 @@ class MicroBatcher:
         self.requeue_limit = max(0, requeue_limit)
         self._inflight: Dict[str, "asyncio.Future[Any]"] = {}
         self._queue: List[Item] = []
-        self._timer: Optional[asyncio.TimerHandle] = None
         self._tasks: Set["asyncio.Task[None]"] = set()
         self.batches_dispatched = 0
         self.items_dispatched = 0
@@ -203,6 +210,15 @@ class MicroBatcher:
     def pending(self) -> int:
         """Keys currently queued or being solved."""
         return len(self._inflight)
+
+    @property
+    def saturated(self) -> bool:
+        """True while every slot holds a batch, so a new key would queue."""
+        return len(self._tasks) >= self.slots
+
+    def in_flight(self, key: str) -> bool:
+        """Is ``key`` queued or being solved (a submit would join it)?"""
+        return key in self._inflight
 
     async def submit(self, key: str, payload: Any) -> Any:
         """Result for ``key``, solving at most once per in-flight key.
@@ -219,27 +235,29 @@ class MicroBatcher:
             raise CircuitOpen(self.breaker.retry_after())
         if len(self._inflight) >= self.max_pending:
             raise Overloaded(len(self._inflight))
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[Any]" = loop.create_future()
+        future: "asyncio.Future[Any]" = asyncio.get_running_loop().create_future()
         self._inflight[key] = future
         self._queue.append((key, payload))
-        if len(self._queue) >= self.max_batch:
-            self._flush()
-        elif self._timer is None:
-            self._timer = loop.call_later(self.window, self._flush)
+        self._pump()
         return await _wait(future)
 
-    def _flush(self) -> None:
-        """Dispatch the queued items as one batch task."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if not self._queue:
+    def _pump(self) -> None:
+        """Start queued items on every idle slot, ``max_batch`` per batch."""
+        while self._queue and len(self._tasks) < self.slots:
+            items = self._queue[: self.max_batch]
+            del self._queue[: self.max_batch]
+            task = asyncio.get_running_loop().create_task(self._run_batch(items))
+            self._tasks.add(task)
+            task.add_done_callback(self._slot_freed)
+
+    def _slot_freed(self, task: "asyncio.Task[None]") -> None:
+        self._tasks.discard(task)
+        if task.cancelled():
+            # Only loop teardown cancels a batch task; the queue goes too.
+            items, self._queue = self._queue, []
+            self._fail(items, None)
             return
-        items, self._queue = self._queue, []
-        task = asyncio.get_running_loop().create_task(self._run_batch(items))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+        self._pump()
 
     async def _dispatch_once(self, items: List[Item]) -> Dict[str, Any]:
         """One dispatch attempt, bounded by the solve deadline."""
@@ -282,37 +300,55 @@ class MicroBatcher:
             tracer.end(span, args={"requeues": self.requeues - requeues_before})
 
     async def _run_batch_inner(self, items: List[Item]) -> None:
-        """The dispatch/requeue loop behind :meth:`_run_batch`."""
+        """Count and solve one batch; every exit resolves its waiters."""
         self.batches_dispatched += 1
         self.items_dispatched += len(items)
+        try:
+            await self._solve_batch(items)
+        finally:
+            # Only a cancelled batch task gets here with waiters left;
+            # they are cancelled with it rather than left hanging.
+            self._fail(items, None)
+
+    async def _solve_batch(self, items: List[Item]) -> None:
+        """The dispatch/requeue loop behind :meth:`_run_batch_inner`."""
         requeues_left = self.requeue_limit
         while True:
             try:
                 results = await self._dispatch_once(items)
                 break
+            except asyncio.CancelledError:
+                if _cancelling():
+                    raise
+                # The dispatch was cancelled under a live batch: another
+                # batch's pool rebuild shut the executor down.
+                failure: Exception = WorkerCrashed(
+                    "dispatch cancelled: its executor was shut down"
+                )
             except (WorkerCrashed, DeadlineExceeded) as exc:
-                # Pool-health failures.  Recovery (the owner's pool
-                # rebuild) runs even when no requeue remains: the NEXT
-                # batch must not inherit a wedged executor.
-                if self._recover is not None:
-                    try:
-                        await self._recover(exc)
-                    except Exception as rexc:  # noqa: BLE001 — surfaced to waiters
-                        self._fail(items, rexc)
-                        self._record_failure()
-                        return
-                if requeues_left > 0:
-                    requeues_left -= 1
-                    self.requeues += 1
-                    continue
-                self._fail(items, exc)
-                self._record_failure()
-                return
+                failure = exc
             except Exception as exc:  # noqa: BLE001 — fan the failure out to waiters
                 # Deterministic batch errors (bad payloads) say nothing
                 # about pool health, so they bypass the breaker.
                 self._fail(items, exc)
                 return
+            # Pool-health failure.  Recovery (the owner's pool rebuild)
+            # runs even when no requeue remains: the NEXT batch must not
+            # inherit a wedged executor.
+            if self._recover is not None:
+                try:
+                    await self._recover(failure)
+                except Exception as rexc:  # noqa: BLE001 — surfaced to waiters
+                    self._fail(items, rexc)
+                    self._record_failure()
+                    return
+            if requeues_left > 0:
+                requeues_left -= 1
+                self.requeues += 1
+                continue
+            self._fail(items, failure)
+            self._record_failure()
+            return
         if self.breaker is not None:
             self.breaker.record_success()
         for key, _payload in items:
@@ -326,11 +362,15 @@ class MicroBatcher:
                     RuntimeError(f"dispatch returned no result for key {key}")
                 )
 
-    def _fail(self, items: List[Item], exc: BaseException) -> None:
-        """Fan one terminal failure out to every waiter in the batch."""
+    def _fail(self, items: List[Item], exc: Optional[BaseException]) -> None:
+        """Resolve every waiter in the batch: ``exc``, or cancel if None."""
         for key, _payload in items:
             future = self._inflight.pop(key, None)
-            if future is not None and not future.done():
+            if future is None or future.done():
+                continue
+            if exc is None:
+                future.cancel()
+            else:
                 future.set_exception(exc)
 
     def _record_failure(self) -> None:
@@ -338,10 +378,22 @@ class MicroBatcher:
             self.breaker.record_failure()
 
     async def drain(self) -> None:
-        """Flush the queue and wait for every in-flight batch to finish."""
-        self._flush()
+        """Wait until every queued key is dispatched and every batch done."""
+        self._pump()
         while self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
+
+
+def _cancelling() -> bool:
+    """Is the running task itself being cancelled?
+
+    ``Task.cancelling`` (Python 3.11+) tells a cancellation of this task
+    apart from a cancelled future it awaited; without it, assume the
+    former, which cancels the batch's waiters instead of requeueing.
+    """
+    task = asyncio.current_task()
+    cancelling = getattr(task, "cancelling", None)
+    return cancelling is None or cancelling() > 0
 
 
 async def _wait(future: "asyncio.Future[Any]") -> Any:

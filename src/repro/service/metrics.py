@@ -91,6 +91,10 @@ _ROWS: Tuple[Tuple[str, str], ...] = (
     ("trace_stage_queue_total", "counter"),
     ("trace_stage_solve_total", "counter"),
     ("trace_stage_render_total", "counter"),
+    # Misses solved on the event loop while every pool slot was busy
+    # (caller-runs).  Kept out of solves_total, so solves / batches
+    # stays items per pool batch; appended after the pinned order.
+    ("inline_solves_total", "counter"),
 )
 
 
@@ -135,6 +139,7 @@ class ServiceMetrics:
     trace_stage_queue_total = _MetricAttr("trace_stage_queue_total", "counter")
     trace_stage_solve_total = _MetricAttr("trace_stage_solve_total", "counter")
     trace_stage_render_total = _MetricAttr("trace_stage_render_total", "counter")
+    inline_solves_total = _MetricAttr("inline_solves_total", "counter")
 
     def __init__(
         self,

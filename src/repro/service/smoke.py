@@ -7,12 +7,16 @@ Run via ``make serve-smoke`` (wired into ``make ci``) or directly::
 Boots the real server as a subprocess on an ephemeral port, round-trips
 one mapping through the async client, checks ``/healthz`` and
 ``/metrics``, then sends SIGTERM and requires a clean (exit 0) drain.
+On the way it exercises caller-runs on the real one-worker pool: an
+8-thread miss sent while a 128-thread solve holds the pool must be
+solved on the event loop, with the bytes an in-process service gives.
 Exit status is 0 on success — the CI contract.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import re
 import signal
@@ -21,7 +25,9 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from repro.service.app import MappingService, ServiceConfig
 from repro.service.client import AsyncMappingClient
+from repro.util.rng import as_rng
 
 _LISTEN_RE = re.compile(r"listening on http://([0-9.]+):(\d+)")
 
@@ -30,6 +36,30 @@ _SMOKE_MATRIX: List[List[float]] = [
     [0.0 if i == j else (100.0 if i // 2 == j // 2 else 1.0) for j in range(8)]
     for i in range(8)
 ]
+
+
+#: A fresh 8-thread ring pattern, the miss sent while the pool is busy.
+_RING_MATRIX: List[List[float]] = [
+    [0.0 if i == j else (50.0 if (i - j) % 8 in (1, 7) else 1.0) for j in range(8)]
+    for i in range(8)
+]
+
+
+def _map_body(matrix: List[List[float]], chips: int = 2) -> bytes:
+    doc = {
+        "matrix": matrix,
+        "topology": {"cores_per_l2": 2, "l2_per_chip": 2, "chips": chips},
+    }
+    return json.dumps(doc, sort_keys=True).encode("utf-8")
+
+
+def _large_body() -> bytes:
+    """A random n=128 miss on 32 chips: ~0.16 s of pool solve."""
+    weights = as_rng(128).random((128, 128)) * 100.0
+    weights = weights + weights.T
+    for i in range(128):
+        weights[i, i] = 0.0
+    return _map_body(weights.tolist(), chips=32)
 
 
 def _server_command() -> List[str]:
@@ -66,6 +96,42 @@ async def _roundtrip(port: int) -> None:
         assert "repro_service_body_cache_hits_total 1" in metrics, metrics
 
 
+async def _caller_runs(port: int) -> None:
+    """A small miss arriving while the pool is busy is solved on the loop."""
+    small = _map_body(_RING_MATRIX)
+    async with AsyncMappingClient("127.0.0.1", port) as large_client, \
+            AsyncMappingClient("127.0.0.1", port) as client:
+        large = asyncio.ensure_future(
+            large_client.request("POST", "/map", _large_body())
+        )
+        while not large.done():
+            health = await asyncio.wait_for(client.healthz(), timeout=10)
+            if health["pending_solves"] >= 1:
+                break  # the large solve is in the pool now
+            await asyncio.sleep(0.001)
+        status, _headers, raw = await asyncio.wait_for(
+            client.request("POST", "/map", small), timeout=30
+        )
+        assert status == 200, raw
+        large_status = (await asyncio.wait_for(large, timeout=60))[0]
+        assert large_status == 200, large_status
+        metrics = await asyncio.wait_for(client.metrics(), timeout=10)
+        assert "repro_service_inline_solves_total 1" in metrics, metrics
+    expected = await _in_process_answer(small)
+    assert raw == expected, "loop-side solve bytes differ from the in-process answer"
+
+
+async def _in_process_answer(body: bytes) -> bytes:
+    service = MappingService(ServiceConfig(workers=0))
+    await service.start()
+    try:
+        status, _headers, payload = await service.handle_map(body)
+    finally:
+        await service.aclose()
+    assert status == 200, payload
+    return payload
+
+
 def main(timeout: float = 60.0) -> int:
     """Run the smoke sequence; returns a process exit code."""
     proc = subprocess.Popen(
@@ -87,6 +153,7 @@ def main(timeout: float = 60.0) -> int:
             return 1
         port = int(match.group(2))
         asyncio.run(_roundtrip(port))
+        asyncio.run(_caller_runs(port))
         proc.send_signal(signal.SIGTERM)
         code = proc.wait(timeout=timeout)
         if code != 0:

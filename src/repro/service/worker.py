@@ -1,10 +1,13 @@
-"""The picklable solve entrypoint that runs inside pool workers.
+"""The picklable solve entrypoints: pool batches and single items.
 
-One executor call carries a whole micro-batch: matrices travel as raw
-float64 bytes (cheap to pickle, reconstructed with ``np.frombuffer``),
-topologies as their three structural integers.  Everything here must
-stay importable at module top level and free of process-local state so
-results are byte-identical no matter which worker solves them.
+One executor call carries a whole batch (:func:`solve_batch`): matrices
+travel as raw float64 bytes (cheap to pickle, reconstructed with
+``np.frombuffer``), topologies as their three structural integers.
+:func:`solve_item` is the per-item step it runs, and the service also
+calls it directly on the event loop for small solves while every pool
+slot is busy.  Everything here must stay importable at module top level
+and free of process-local state so results are byte-identical no matter
+which worker, or the loop, solves them.
 """
 
 from __future__ import annotations
@@ -104,16 +107,26 @@ def solve_batch(items: List[SolveItem]) -> List[Tuple[str, Tuple[int, ...]]]:
     out: List[Tuple[str, Tuple[int, ...]]] = []
     try:
         for key, raw, n, spec in items:
-            expected = n * n * np.dtype(np.float64).itemsize
-            if n < 1 or len(raw) != expected:
-                raise ValidationError(
-                    f"solve item {key}: matrix buffer is {len(raw)} bytes, "
-                    f"expected {expected} for n={n} float64 threads"
-                )
-            matrix = np.frombuffer(raw, dtype=np.float64).reshape(n, n)
-            mapping = solve_mapping(matrix, topology_from_spec(spec))
-            out.append((key, mapping.assignment))
+            out.append((key, solve_item(key, raw, n, spec)))
     finally:
         if span is not None:
             tracer.end(span, args={"solved": len(out)})
     return out
+
+
+def solve_item(key: str, raw: bytes, n: int, spec: TopoSpec) -> Tuple[int, ...]:
+    """Solve one canonical matrix; returns its core assignment.
+
+    The same pure function wherever it runs: inside :func:`solve_batch`
+    in a pool worker, or on the service's event loop.  It has no fault
+    site (an injected hang must never block the loop) and resolves
+    ``solve_mapping`` at call time through this module's globals.
+    """
+    expected = n * n * np.dtype(np.float64).itemsize
+    if n < 1 or len(raw) != expected:
+        raise ValidationError(
+            f"solve item {key}: matrix buffer is {len(raw)} bytes, "
+            f"expected {expected} for n={n} float64 threads"
+        )
+    matrix = np.frombuffer(raw, dtype=np.float64).reshape(n, n)
+    return solve_mapping(matrix, topology_from_spec(spec)).assignment

@@ -41,7 +41,6 @@ async def traced_cluster(shards=2, sample_every=1, **router_kwargs):
         config_factory=lambda: ServiceConfig(
             port=0,
             workers=0,
-            batch_window=0.0,
             trace_ring=2048,
             trace_step_clock=True,
             trace_sample_every=sample_every,

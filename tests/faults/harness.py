@@ -110,13 +110,12 @@ def default_requests() -> List[np.ndarray]:
 
 
 def chaos_config(**overrides: object) -> ServiceConfig:
-    """Service tuning for chaos runs: in-process worker, no batch
-    window (1 request = 1 dispatch — invocation counts stay legible),
+    """Service tuning for chaos runs: in-process worker (serial
+    requests dispatch one batch each — invocation counts stay legible),
     a sub-second solve deadline, and a breaker that half-opens fast."""
     base = dict(
         port=0,
         workers=0,
-        batch_window=0.0,
         solve_deadline=0.25,
         breaker_threshold=3,
         breaker_reset=0.05,

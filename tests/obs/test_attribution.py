@@ -32,7 +32,7 @@ def doc(events, clock="wall"):
 
 class TestStageTaxonomy:
     def test_solve_aliases_collapse(self):
-        for name in ("batch.run", "solve.batch", "worker.solve_batch"):
+        for name in ("batch.run", "solve.batch", "solve.inline", "worker.solve_batch"):
             assert stage_of(name) == "solve"
 
     def test_unknown_names_are_outside_taxonomy(self):

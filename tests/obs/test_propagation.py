@@ -120,7 +120,7 @@ class TestProcessPoolPropagation:
         tracer = Tracer(trace_id="svc")
 
         async def scenario():
-            service = MappingService(ServiceConfig(workers=0, batch_window=0.0))
+            service = MappingService(ServiceConfig(workers=0))
             assert service.tracer is tracer  # adopted the env-activated one
             await service.start()
             try:

@@ -1,4 +1,4 @@
-"""Micro-batcher semantics: coalescing, batching, backpressure, drain."""
+"""Batcher semantics: coalescing, dispatch on idle, backpressure, drain."""
 
 import asyncio
 
@@ -39,7 +39,7 @@ class TestSingleFlight:
     def test_concurrent_same_key_costs_one_solve(self):
         async def scenario():
             dispatch = RecordingDispatch()
-            batcher = MicroBatcher(dispatch, window=0.01)
+            batcher = MicroBatcher(dispatch)
             results = await asyncio.gather(
                 *(batcher.submit("k", i) for i in range(16))
             )
@@ -56,7 +56,7 @@ class TestSingleFlight:
         async def scenario():
             gate = asyncio.Event()
             dispatch = RecordingDispatch(gate=gate)
-            batcher = MicroBatcher(dispatch, window=0.0)
+            batcher = MicroBatcher(dispatch)
             first = asyncio.ensure_future(batcher.submit("k", 0))
             await asyncio.sleep(0.01)  # batch dispatched, parked on gate
             second = asyncio.ensure_future(batcher.submit("k", 1))
@@ -68,32 +68,91 @@ class TestSingleFlight:
         assert run(scenario()) == "solved:k"
 
 
+async def hold_the_slot(batcher):
+    """Occupy the batcher's only slot with a batch parked on the gate."""
+    holder = asyncio.ensure_future(batcher.submit("hold", -1))
+    await asyncio.sleep(0.01)
+    assert batcher.saturated
+    return holder
+
+
 class TestBatching:
+    def test_idle_slot_dispatches_at_once(self):
+        async def scenario():
+            dispatch = RecordingDispatch(gate=asyncio.Event())
+            batcher = MicroBatcher(dispatch)
+            waiter = asyncio.ensure_future(batcher.submit("k", 0))
+            await asyncio.sleep(0)  # submit runs and starts the batch
+            await asyncio.sleep(0)  # the batch task calls dispatch
+            dispatched = list(dispatch.batches)
+            dispatch.gate.set()
+            return dispatched, await waiter
+
+        dispatched, result = run(scenario())
+        assert dispatched == [[("k", 0)]]  # no timer held the key back
+        assert result == "solved:k"
+
     def test_distinct_keys_in_window_form_one_batch(self):
         async def scenario():
-            dispatch = RecordingDispatch()
-            batcher = MicroBatcher(dispatch, window=0.02, max_batch=64)
-            results = await asyncio.gather(
-                *(batcher.submit(f"k{i}", i) for i in range(8))
-            )
+            gate = asyncio.Event()
+            dispatch = RecordingDispatch(gate=gate)
+            batcher = MicroBatcher(dispatch, max_batch=64)
+            holder = await hold_the_slot(batcher)
+            waiters = [
+                asyncio.ensure_future(batcher.submit(f"k{i}", i)) for i in range(8)
+            ]
+            await asyncio.sleep(0.01)  # all eight queue behind the holder
+            gate.set()
+            results = await asyncio.gather(*waiters)
+            await holder
             return dispatch, results
 
         dispatch, results = run(scenario())
         assert results == [f"solved:k{i}" for i in range(8)]
-        assert len(dispatch.batches) == 1
-        assert len(dispatch.batches[0]) == 8
+        queued = dispatch.batches[1:]  # after the holder's own batch
+        assert len(queued) == 1
+        assert len(queued[0]) == 8
 
     def test_max_batch_flushes_early(self):
         async def scenario():
-            dispatch = RecordingDispatch()
-            batcher = MicroBatcher(dispatch, window=10.0, max_batch=4)
-            await asyncio.gather(*(batcher.submit(f"k{i}", i) for i in range(8)))
+            gate = asyncio.Event()
+            dispatch = RecordingDispatch(gate=gate)
+            batcher = MicroBatcher(dispatch, max_batch=4)
+            holder = await hold_the_slot(batcher)
+            waiters = [
+                asyncio.ensure_future(batcher.submit(f"k{i}", i)) for i in range(8)
+            ]
+            await asyncio.sleep(0.01)
+            gate.set()
+            await asyncio.gather(holder, *waiters)
             return dispatch
 
         dispatch = run(scenario())
-        # A 10s window would stall forever; max_batch must cut it.
-        assert len(dispatch.batches) == 2
-        assert all(len(b) == 4 for b in dispatch.batches)
+        # Eight queued keys leave as batches of at most max_batch.
+        queued = dispatch.batches[1:]
+        assert len(queued) == 2
+        assert all(len(b) == 4 for b in queued)
+
+    def test_slots_bound_the_batches_in_flight(self):
+        async def scenario():
+            gate = asyncio.Event()
+            dispatch = RecordingDispatch(gate=gate)
+            batcher = MicroBatcher(dispatch, slots=2)
+            waiters = [
+                asyncio.ensure_future(batcher.submit(f"k{i}", i)) for i in range(3)
+            ]
+            await asyncio.sleep(0.01)
+            in_flight = [list(b) for b in dispatch.batches]
+            saturated = batcher.saturated
+            gate.set()
+            results = await asyncio.gather(*waiters)
+            return in_flight, saturated, dispatch, results
+
+        in_flight, saturated, dispatch, results = run(scenario())
+        assert in_flight == [[("k0", 0)], [("k1", 1)]]  # k2 waited for a slot
+        assert saturated
+        assert dispatch.batches[2] == [("k2", 2)]
+        assert results == ["solved:k0", "solved:k1", "solved:k2"]
 
 
 class TestBackpressure:
@@ -101,7 +160,7 @@ class TestBackpressure:
         async def scenario():
             gate = asyncio.Event()
             dispatch = RecordingDispatch(gate=gate)
-            batcher = MicroBatcher(dispatch, window=0.0, max_pending=2)
+            batcher = MicroBatcher(dispatch, max_pending=2)
             first = asyncio.ensure_future(batcher.submit("k1", 0))
             second = asyncio.ensure_future(batcher.submit("k2", 0))
             await asyncio.sleep(0.01)
@@ -125,7 +184,7 @@ class TestFailure:
     def test_dispatch_error_reaches_every_waiter(self):
         async def scenario():
             dispatch = RecordingDispatch(fail=True)
-            batcher = MicroBatcher(dispatch, window=0.0)
+            batcher = MicroBatcher(dispatch)
             results = await asyncio.gather(
                 batcher.submit("k", 0),
                 batcher.submit("k", 1),
@@ -142,7 +201,7 @@ class TestFailure:
             async def dispatch(items):
                 return {}  # dispatch "forgot" the key
 
-            batcher = MicroBatcher(dispatch, window=0.0)
+            batcher = MicroBatcher(dispatch)
             with pytest.raises(RuntimeError, match="no result"):
                 await batcher.submit("k", 0)
 
@@ -152,15 +211,20 @@ class TestFailure:
 class TestDrain:
     def test_drain_flushes_and_waits(self):
         async def scenario():
-            dispatch = RecordingDispatch()
-            batcher = MicroBatcher(dispatch, window=10.0)
+            gate = asyncio.Event()
+            dispatch = RecordingDispatch(gate=gate)
+            batcher = MicroBatcher(dispatch)
+            holder = await hold_the_slot(batcher)
             waiter = asyncio.ensure_future(batcher.submit("k", 0))
-            await asyncio.sleep(0.01)  # queued, timer far in the future
+            await asyncio.sleep(0.01)  # queued behind the gated batch
+            assert not waiter.done()
+            asyncio.get_running_loop().call_later(0.01, gate.set)
             await batcher.drain()
-            assert waiter.done()
+            assert waiter.done() and holder.done()
             return await waiter
 
         assert run(scenario()) == "solved:k"
+
 
 class FakeClock:
     def __init__(self):
@@ -187,6 +251,21 @@ class CrashingDispatch:
         return {key: f"solved:{key}" for key, _payload in items}
 
 
+class CancelledDispatch:
+    """Its first ``cancels`` calls end cancelled, as an executor call does
+    when the executor is shut down with ``cancel_futures=True``."""
+
+    def __init__(self, cancels):
+        self.cancels = cancels
+        self.calls = 0
+
+    async def __call__(self, items):
+        self.calls += 1
+        if self.calls <= self.cancels:
+            raise asyncio.CancelledError()
+        return {key: f"solved:{key}" for key, _payload in items}
+
+
 class TestRequeue:
     def test_one_crash_is_requeued_after_recovery(self):
         async def scenario():
@@ -196,8 +275,7 @@ class TestRequeue:
             async def recover(exc):
                 recoveries.append(exc)
 
-            batcher = MicroBatcher(dispatch, window=0.0, recover=recover,
-                                   requeue_limit=1)
+            batcher = MicroBatcher(dispatch, recover=recover, requeue_limit=1)
             result = await batcher.submit("k", 0)
             return dispatch, recoveries, batcher, result
 
@@ -210,7 +288,7 @@ class TestRequeue:
     def test_requeues_exhausted_fail_every_waiter(self):
         async def scenario():
             dispatch = CrashingDispatch(crashes=99)
-            batcher = MicroBatcher(dispatch, window=0.0, requeue_limit=1)
+            batcher = MicroBatcher(dispatch, requeue_limit=1)
             with pytest.raises(WorkerCrashed):
                 await batcher.submit("k", 0)
             return dispatch, batcher
@@ -230,20 +308,69 @@ class TestRequeue:
             async def recover(exc):
                 recoveries.append(exc)
 
-            batcher = MicroBatcher(dispatch, window=0.0, recover=recover,
-                                   requeue_limit=0)
+            batcher = MicroBatcher(dispatch, recover=recover, requeue_limit=0)
             with pytest.raises(WorkerCrashed):
                 await batcher.submit("k", 0)
             return recoveries
 
         assert len(run(scenario())) == 1
 
+    def test_cancelled_dispatch_is_a_crash_and_requeued(self):
+        """Another batch's pool rebuild cancels this batch's executor
+        call: that is a pool failure, recovered and requeued."""
+        async def scenario():
+            dispatch = CancelledDispatch(cancels=1)
+            recoveries = []
+
+            async def recover(exc):
+                recoveries.append(exc)
+
+            batcher = MicroBatcher(dispatch, recover=recover, requeue_limit=1)
+            result = await asyncio.wait_for(batcher.submit("k", 0), timeout=5)
+            return dispatch, recoveries, batcher, result
+
+        dispatch, recoveries, batcher, result = run(scenario())
+        assert result == "solved:k"
+        assert dispatch.calls == 2
+        assert batcher.requeues == 1
+        assert len(recoveries) == 1 and isinstance(recoveries[0], WorkerCrashed)
+        assert batcher.pending == 0
+
+    def test_cancelled_dispatch_past_the_requeues_fails_waiters(self):
+        async def scenario():
+            batcher = MicroBatcher(CancelledDispatch(cancels=99), requeue_limit=1)
+            with pytest.raises(WorkerCrashed, match="cancelled"):
+                await asyncio.wait_for(batcher.submit("k", 0), timeout=5)
+            return batcher
+
+        batcher = run(scenario())
+        assert batcher.requeues == 1
+        assert batcher.pending == 0  # the key is not left to be joined
+
+    def test_cancelled_batch_task_cancels_its_waiters(self):
+        async def scenario():
+            dispatch = RecordingDispatch(gate=asyncio.Event())  # never set
+            batcher = MicroBatcher(dispatch)
+            waiter = asyncio.ensure_future(batcher.submit("k", 0))
+            queued = asyncio.ensure_future(batcher.submit("q", 1))
+            await asyncio.sleep(0.01)
+            for task in list(batcher._tasks):
+                task.cancel()
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(waiter, queued, return_exceptions=True), timeout=5
+            )
+            return batcher, outcomes
+
+        batcher, outcomes = run(scenario())
+        assert all(isinstance(o, asyncio.CancelledError) for o in outcomes)
+        assert batcher.pending == 0
+
     def test_deterministic_errors_are_not_requeued(self):
         """A bad payload raising inside the solver is a pure function of
         its input: retrying cannot help and must not happen."""
         async def scenario():
             dispatch = RecordingDispatch(fail=True)
-            batcher = MicroBatcher(dispatch, window=0.0, requeue_limit=3)
+            batcher = MicroBatcher(dispatch, requeue_limit=3)
             with pytest.raises(RuntimeError, match="solver exploded"):
                 await batcher.submit("k", 0)
             return dispatch, batcher
@@ -258,8 +385,7 @@ class TestDeadline:
         async def scenario():
             gate = asyncio.Event()  # never set: the dispatch hangs
             dispatch = RecordingDispatch(gate=gate)
-            batcher = MicroBatcher(dispatch, window=0.0, deadline=0.05,
-                                   requeue_limit=0)
+            batcher = MicroBatcher(dispatch, deadline=0.05, requeue_limit=0)
             with pytest.raises(DeadlineExceeded) as excinfo:
                 await batcher.submit("k", 0)
             return batcher, excinfo.value
@@ -271,7 +397,7 @@ class TestDeadline:
     def test_zero_deadline_means_unbounded(self):
         async def scenario():
             dispatch = RecordingDispatch()
-            batcher = MicroBatcher(dispatch, window=0.0, deadline=0.0)
+            batcher = MicroBatcher(dispatch, deadline=0.0)
             return await batcher.submit("k", 0)
 
         assert run(scenario()) == "solved:k"
@@ -320,10 +446,9 @@ class TestCircuitBreaker:
             dispatch = RecordingDispatch(gate=gate)
             clock = FakeClock()
             breaker = CircuitBreaker(threshold=1, reset_after=10.0, clock=clock)
-            batcher = MicroBatcher(dispatch, window=10.0, breaker=breaker,
-                                   requeue_limit=0)
+            batcher = MicroBatcher(dispatch, breaker=breaker, requeue_limit=0)
             waiter = asyncio.ensure_future(batcher.submit("k", 0))
-            await asyncio.sleep(0.01)  # "k" is queued and in flight
+            await asyncio.sleep(0.01)  # "k" is in flight, parked on the gate
             breaker.record_failure()  # force the breaker open
             with pytest.raises(CircuitOpen) as excinfo:
                 await batcher.submit("fresh", 1)
@@ -342,8 +467,7 @@ class TestCircuitBreaker:
             dispatch = CrashingDispatch(crashes=1)
             clock = FakeClock()
             breaker = CircuitBreaker(threshold=5, clock=clock)
-            batcher = MicroBatcher(dispatch, window=0.0, breaker=breaker,
-                                   requeue_limit=1)
+            batcher = MicroBatcher(dispatch, breaker=breaker, requeue_limit=1)
             await batcher.submit("k", 0)  # crash → requeue → success
             return breaker
 

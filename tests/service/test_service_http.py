@@ -142,7 +142,7 @@ class TestSingleFlight:
         solver = CountingSolver(gate=gate)
 
         async def scenario():
-            async with serving(solver=solver, batch_window=0.01) as (
+            async with serving(solver=solver) as (
                 svc, _srv, host, port,
             ):
                 clients = [AsyncMappingClient(host, port) for _ in range(8)]
@@ -199,7 +199,7 @@ class TestBackpressure:
             ring[i, (i + 1) % 8] = ring[(i + 1) % 8, i] = 50.0
 
         async def scenario():
-            async with serving(solver=solver, max_pending=1, batch_window=0.0) as (
+            async with serving(solver=solver, max_pending=1) as (
                 svc, _srv, host, port,
             ):
                 first_client = AsyncMappingClient(host, port)
@@ -405,7 +405,7 @@ class TestGracefulShutdown:
         solver = CountingSolver(gate=gate)
 
         async def scenario():
-            cfg = ServiceConfig(port=0, workers=0, batch_window=0.0)
+            cfg = ServiceConfig(port=0, workers=0)
             service = MappingService(cfg, solve_batch_fn=solver)
             server = MappingServer(service)
             host, port = await server.start()
@@ -451,9 +451,7 @@ class TestDrainDuringPoolRebuild:
 
         async def scenario():
             with activated(plan):
-                cfg = ServiceConfig(
-                    port=0, workers=0, batch_window=0.0, **config_overrides
-                )
+                cfg = ServiceConfig(port=0, workers=0, **config_overrides)
                 service = MappingService(cfg)
                 server = MappingServer(service)
                 host, port = await server.start()

@@ -17,7 +17,14 @@ Request path for ``POST /map``:
    cache makes repeats a dict lookup; unparsable bodies fall back to a
    body-hash key (the shard answers the 400 — validation stays
    single-sourced).
-3. **Forward via the ring** — the first live shard in
+3. **Router answer** — the first ``200`` a shard gives for a body is kept
+   in that body's route-cache entry, and an exact repeat of the bytes is
+   answered from it (``X-Repro-Cache: body``, ``X-Repro-Shard`` naming
+   the shard that produced the bytes) with no forward.  A 200 ``/map``
+   answer is a pure function of the body bytes, so the replay is what
+   the shard itself would send.  Errors, ``/map/delta`` and
+   ``/cache/push`` always reach a shard.
+4. **Forward via the ring** — the first live shard in
    :meth:`~repro.cluster.ring.HashRing.lookup_chain` order gets the
    request over a pooled keep-alive client.  A dead shard (refused /
    reset connection, or an injected ``crash`` at
@@ -25,7 +32,7 @@ Request path for ``POST /map``:
    scheduled for restart, and the request re-routes to the next shard —
    the client sees one answer either way, byte-identical because shard
    responses are pure functions of the body.
-4. **Replication** — a forwarded ``/map`` answered ``X-Repro-Cache:
+5. **Replication** — a forwarded ``/map`` answered ``X-Repro-Cache:
    miss`` is a cold solve the rest of the cluster does not have: the
    router retains it in its :class:`~repro.cluster.replica.ReplicaStore`
    and pushes it to every sibling (seeded-deterministic fan-out order)
@@ -91,6 +98,11 @@ _SHARD_DEAD_ERRORS = (
 )
 
 
+def _map_body_key(body: bytes) -> str:
+    """Route-cache key of a ``/map`` body (disjoint from delta keys)."""
+    return "map\x00" + hashlib.sha256(body).hexdigest()
+
+
 @dataclass(frozen=True)
 class RouterConfig:
     """Tunables for one router instance (all read at start-up)."""
@@ -117,7 +129,8 @@ class RouterConfig:
     quota_max_tenants: int = 1024
     #: Replicated solves retained for fan-out and restart replay.
     replica_entries: int = 4096
-    #: Body→routing-key cache entries.
+    #: Body→routing-key cache entries; an entry also keeps the body's
+    #: first 200 ``/map`` answer, so this bounds router answers too.
     route_cache_entries: int = 4096
     #: Same thread/core ceilings the shards enforce; the router skips
     #: canonicalizing bodies that would be rejected anyway.
@@ -167,6 +180,8 @@ _ROUTER_ROWS: Tuple[Tuple[str, str], ...] = (
     ("trace_stage_ring_lookup_total", "counter"),
     ("trace_stage_forward_total", "counter"),
     ("trace_stage_replicate_total", "counter"),
+    # /map repeats answered at the router without a forward.
+    ("body_cache_hits_total", "counter"),
 )
 
 #: Distinct tenant label values tracked before folding into ``~other``
@@ -207,6 +222,7 @@ class RouterMetrics:
     trace_stage_replicate_total = _MetricAttr(
         "trace_stage_replicate_total", "counter"
     )
+    body_cache_hits_total = _MetricAttr("body_cache_hits_total", "counter")
 
     def __init__(self, latency_window: int = 2048):
         self.registry = MetricsRegistry(prefix="repro_cluster_")
@@ -262,15 +278,24 @@ class RouterMetrics:
 
 @dataclass(frozen=True)
 class _RouteInfo:
-    """Routing decision for one body: key plus publishable canon data."""
+    """Routing decision for one body: key plus publishable canon data.
+
+    Once a forward of the body comes back 200, the entry is replaced by
+    an *answered* one holding only the key, the answer bytes and the
+    shard that produced them: such a body is never forwarded or
+    published again, so its canon data is dropped.
+    """
 
     key: str
     #: None when the body could not be canonicalized router-side (the
-    #: shard will answer the 400; nothing will be published).
+    #: shard will answer the 400; nothing will be published), and on
+    #: an answered entry.
     canon_hex: Optional[str] = None
     n: int = 0
     spec: Tuple[int, int, int] = (0, 0, 0)
-    perm: Tuple[int, ...] = ()
+    #: The body's first 200 ``/map`` answer, and the shard that sent it.
+    answer: Optional[bytes] = None
+    shard: str = ""
 
 
 class _ShardClientPool:
@@ -468,9 +493,13 @@ class ClusterRouter:
 
     # -- routing -----------------------------------------------------------------
 
-    def _map_route_info(self, body: bytes) -> _RouteInfo:
-        """Routing key (and publishable canon data) for a /map body."""
-        body_key = "map\x00" + hashlib.sha256(body).hexdigest()
+    def _map_route_info(self, body: bytes, body_key: str = "") -> _RouteInfo:
+        """Routing key (and publishable canon data) for a /map body.
+
+        ``body_key`` is the body's route-cache key when the caller has
+        it already (see :func:`_map_body_key`).
+        """
+        body_key = body_key or _map_body_key(body)
         cached = self._route_cache.get(body_key)
         if cached is not None:
             return cached
@@ -525,15 +554,26 @@ class ClusterRouter:
             matrix = normalize_matrix(raw)
         except ValidationError:
             return None
-        canon, perm = canonical_form(matrix)
+        canon, _perm = canonical_form(matrix)
         key = canonical_key(canon, spec)
-        return _RouteInfo(
-            key=key,
-            canon_hex=canon.tobytes().hex(),
-            n=n,
-            spec=spec,
-            perm=tuple(perm),
-        )
+        return _RouteInfo(key=key, canon_hex=canon.tobytes().hex(), n=n, spec=spec)
+
+    def _keep_answer(
+        self, body_key: str, route: _RouteInfo, raw: bytes, shard_id: str
+    ) -> None:
+        """Answer later repeats of a body from its first 200 ``/map``.
+
+        ``route`` was read before the forward's awaits and may be stale
+        by now: a concurrent request for the same body may have kept its
+        answer already, or the entry may have been evicted or expired.
+        Replace the entry only while it is still ``route`` — checked and
+        put with no await between them — so the first writer wins and
+        its TTL window is not restarted.
+        """
+        if self._route_cache.peek(body_key) is route:
+            self._route_cache.put(
+                body_key, _RouteInfo(key=route.key, answer=raw, shard=shard_id)
+            )
 
     def _delta_route_key(self, body: bytes) -> str:
         """Routing key for a /map/delta body: its ``base_key`` field."""
@@ -647,11 +687,11 @@ class ClusterRouter:
             args={"path": "/map", "bytes": len(body)},
             nest=False,
         )
-        status_code = 0
+        end_args: Dict[str, Any] = {"status": 0}
         try:
             throttled = self._admit(tenant)
             if throttled is not None:
-                status_code = throttled[0]
+                end_args["status"] = throttled[0]
                 return throttled
             lspan = tracer.begin(
                 "ring.lookup",
@@ -659,17 +699,27 @@ class ClusterRouter:
                 parent=span.span_id,
                 nest=False,
             )
-            route = self._map_route_info(body)
+            body_key = _map_body_key(body)
+            route = self._map_route_info(body, body_key)
             tracer.end(lspan, args={"key_kind": route.key.partition(":")[0]})
+            if route.answer is not None:
+                self.metrics.body_cache_hits_total += 1
+                end_args.update(status=200, cache="body")
+                return 200, {
+                    "X-Repro-Cache": "body",
+                    "X-Repro-Shard": route.shard,
+                }, route.answer
             status, headers, raw, shard_id = await self._forward(
                 "/map", body, route.key, parent=span.span_id
             )
             if status is None or shard_id is None:
-                status_code = 503
+                end_args["status"] = 503
                 return 503, {"Retry-After": "1"}, _error_body(
                     "NoShardsAvailable", "every shard is down or restarting"
                 )
-            status_code = status
+            end_args["status"] = status
+            if status == 200:
+                self._keep_answer(body_key, route, raw, shard_id)
             if status == 200 and headers.get("x-repro-cache") == "miss":
                 rspan = tracer.begin(
                     "replicate",
@@ -683,7 +733,7 @@ class ClusterRouter:
                     tracer.end(rspan)
             return status, self._proxy_headers(headers, shard_id), raw
         finally:
-            tracer.end(span, args={"status": status_code})
+            tracer.end(span, args=end_args)
 
     async def handle_delta(
         self, body: bytes, tenant: str = DEFAULT_TENANT

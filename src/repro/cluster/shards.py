@@ -33,6 +33,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -108,6 +109,8 @@ class SubprocessShardSupervisor(ShardSupervisor):
         )
         self._procs: Dict[str, subprocess.Popen] = {}
         self._endpoints: Dict[str, Endpoint] = {}
+        #: Per booting child: the clock reading its banner is due by.
+        self._boot_deadlines: Dict[str, float] = {}
 
     # -- blocking internals (always called off-loop) -----------------------------
 
@@ -142,25 +145,40 @@ class SubprocessShardSupervisor(ShardSupervisor):
             text=True,
         )
         self._procs[shard_id] = proc
+        self._boot_deadlines[shard_id] = self._clock() + self.boot_timeout
         return proc
 
     def _await_banner(self, shard_id: str, proc: subprocess.Popen) -> Endpoint:
-        """Read ``proc``'s boot announcement; kill it if none comes."""
+        """Read ``proc``'s boot announcement; kill it if none comes.
+
+        The wait ends ``boot_timeout`` seconds after the child's spawn,
+        so children booting side by side share one budget: a watchdog
+        kills a child still silent then, its stdout reaches EOF, and the
+        boot fails like any other.
+        """
         assert proc.stdout is not None
+        remaining = self._boot_deadlines.pop(shard_id) - self._clock()
+        watchdog = threading.Timer(max(0.0, remaining), proc.kill)
+        watchdog.daemon = True
+        watchdog.start()
         banner: List[str] = []
-        for _ in range(_MAX_BOOT_LINES):
-            line = proc.stdout.readline()
-            if not line:
-                break
-            banner.append(line)
-            match = _LISTEN_RE.search(line)
-            if match:
-                endpoint = (match.group(1), int(match.group(2)))
-                self._endpoints[shard_id] = endpoint
-                return endpoint
+        try:
+            for _ in range(_MAX_BOOT_LINES):
+                line = proc.stdout.readline()
+                if not line:
+                    break
+                banner.append(line)
+                match = _LISTEN_RE.search(line)
+                if match:
+                    endpoint = (match.group(1), int(match.group(2)))
+                    self._endpoints[shard_id] = endpoint
+                    return endpoint
+        finally:
+            watchdog.cancel()
         self._kill_sync(shard_id)
         raise ShardBootError(
-            f"{shard_id} did not announce a port; output was:\n{''.join(banner)}"
+            f"{shard_id} did not announce a port (boot timeout "
+            f"{self.boot_timeout:g} s); output was:\n{''.join(banner)}"
         )
 
     def _start_all_sync(self) -> Dict[str, Endpoint]:

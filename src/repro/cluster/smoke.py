@@ -6,17 +6,22 @@ Run via ``make cluster-smoke`` (wired into ``make ci``) or directly::
 
 Boots the real router as a subprocess on an ephemeral port with two
 shard children and a fault plan that kills the forward target on the
-third ``/map`` routing attempt.  The sequence pins the tentpole
-contracts:
+second ``/map`` forward.  The sequence pins the tentpole contracts:
 
 1. a cold solve is replicated to the sibling shard
    (``replication_publish_total`` / ``replication_push_total``);
-2. the injected shard death re-routes via the ring and the settled
-   response is **byte-identical** to the pre-kill one (shard answers
-   are pure functions of the body, and the sibling is warm);
-3. the dead shard is restarted with the replica store replayed and
+2. an exact repeat is answered at the router, byte-identically and
+   without a forward, naming the solver in ``X-Repro-Shard``;
+3. the same matrix respelled (new bytes, same canonical key and owner)
+   is forwarded, the injected shard death re-routes it via the ring,
+   and the settled response is **byte-identical** to the pre-kill one
+   (shard answers are pure functions of the body, and the sibling is
+   warm);
+4. the first body is still answered byte-identically while the shard
+   that produced it is dead;
+5. the dead shard is restarted with the replica store replayed and
    ``/healthz`` returns to ``ok``;
-4. SIGTERM drains the router *and* both shard children cleanly
+6. SIGTERM drains the router *and* both shard children cleanly
    (exit 0, no orphan processes).
 
 Exit status is 0 on success — the CI contract.
@@ -45,13 +50,14 @@ _LISTEN_RE = re.compile(r"router listening on http://([0-9.]+):(\d+)")
 #: per-shard endpoint lines surround it).
 _MAX_BOOT_LINES = 20
 
-#: Kill the forward target on the third routed request: request 1 is the
-#: cold solve (replicated), request 2 proves the warm path, request 3
-#: dies mid-route and must settle identically on the sibling.
+#: Kill the forward target on the second forward: request 1 is the cold
+#: solve (replicated), request 2 is a repeat the router answers itself,
+#: request 3 respells the matrix, dies mid-route and must settle
+#: identically on the sibling.
 _KILL_PLAN = FaultPlan(
     seed=2012,
-    events=(FaultEvent(site=SITE_CLUSTER_FORWARD, invocation=3, kind="crash"),),
-    note="cluster-smoke: kill the forward target on request 3",
+    events=(FaultEvent(site=SITE_CLUSTER_FORWARD, invocation=2, kind="crash"),),
+    note="cluster-smoke: kill the forward target on forward 2",
 )
 
 
@@ -86,11 +92,23 @@ def _counters(text: str) -> Dict[str, int]:
     return out
 
 
+async def _metrics(client: AsyncMappingClient) -> Dict[str, int]:
+    status, _, raw = await asyncio.wait_for(
+        client.request("GET", "/metrics"), timeout=30
+    )
+    assert status == 200, status
+    return _counters(raw.decode("utf-8"))
+
+
 async def _exercise(port: int) -> None:
     async with AsyncMappingClient("127.0.0.1", port) as client:
         body = json.dumps(
             {"matrix": _SMOKE_MATRIX}, sort_keys=True
         ).encode("utf-8")
+        respelled = json.dumps(
+            {"matrix": _SMOKE_MATRIX}, separators=(",", ":")
+        ).encode("utf-8")
+        assert respelled != body
 
         # 1. Cold solve: replicated to the sibling before returning.
         status, headers, first = await asyncio.wait_for(
@@ -101,29 +119,38 @@ async def _exercise(port: int) -> None:
         solver = headers.get("x-repro-shard")
         assert solver, headers
 
-        # 2. Same body again: warm, same shard, byte-identical.
+        # 2. Same bytes again: answered at the router, no forward.
         status, headers, warm = await asyncio.wait_for(
             client.request("POST", "/map", body), timeout=30
         )
         assert status == 200 and warm == first
+        assert headers.get("x-repro-cache") == "body", headers
         assert headers.get("x-repro-shard") == solver, headers
+        counters = await _metrics(client)
+        assert counters.get("repro_cluster_body_cache_hits_total") == 1, counters
+        assert counters.get("repro_cluster_routed_total") == 1, counters
 
-        # 3. The injected crash kills the solver mid-route; the sibling
-        #    (warmed by replication) settles the request byte-identically.
+        # 3. The respelled matrix is forwarded; the injected crash kills
+        #    the solver mid-route and the sibling (warmed by replication)
+        #    settles the request byte-identically.
         status, headers, settled = await asyncio.wait_for(
-            client.request("POST", "/map", body), timeout=60
+            client.request("POST", "/map", respelled), timeout=60
         )
         assert status == 200, (status, settled[:200])
         survivor = headers.get("x-repro-shard")
         assert survivor and survivor != solver, (solver, headers)
+        assert headers.get("x-repro-cache") == "solve", headers
         assert settled == first, "settled response must be byte-identical"
 
-        # 4. Exact fault/replication counters.
-        status, _, raw = await asyncio.wait_for(
-            client.request("GET", "/metrics"), timeout=30
+        # 4. The first bytes are still answered while their shard is dead.
+        status, headers, replay = await asyncio.wait_for(
+            client.request("POST", "/map", body), timeout=30
         )
-        assert status == 200
-        counters = _counters(raw.decode("utf-8"))
+        assert status == 200 and replay == first
+        assert headers.get("x-repro-shard") == solver, headers
+
+        # Exact fault/replication/answer counters.
+        counters = await _metrics(client)
         expected = {
             "repro_cluster_shard_kills_total": 1,
             "repro_cluster_shard_down_total": 1,
@@ -133,6 +160,8 @@ async def _exercise(port: int) -> None:
             "repro_cluster_faults_injected_total": 1,
             "repro_cluster_quota_throttled_total": 0,
             "repro_cluster_unroutable_total": 0,
+            "repro_cluster_routed_total": 2,
+            "repro_cluster_body_cache_hits_total": 2,
         }
         for name, value in expected.items():
             assert counters.get(name) == value, (name, counters.get(name))
@@ -146,10 +175,7 @@ async def _exercise(port: int) -> None:
             await asyncio.sleep(0.2)
         else:
             raise AssertionError("cluster never returned to ok after restart")
-        status, _, raw = await asyncio.wait_for(
-            client.request("GET", "/metrics"), timeout=30
-        )
-        counters = _counters(raw.decode("utf-8"))
+        counters = await _metrics(client)
         assert counters.get("repro_cluster_shard_restarts_total") == 1, counters
         assert counters.get("repro_cluster_replication_replay_total") == 1, counters
         assert counters.get("repro_cluster_shards_up") == 2, counters
@@ -194,8 +220,9 @@ def main(timeout: float = 120.0) -> int:
                 print(f"cluster-smoke: router exited {code} after SIGTERM")
                 return 1
             print(
-                f"cluster-smoke: OK (port {port}, shard killed and "
-                "re-routed byte-identically, clean SIGTERM drain)"
+                f"cluster-smoke: OK (port {port}, repeats answered at the "
+                "router, shard killed and re-routed byte-identically, "
+                "clean SIGTERM drain)"
             )
             return 0
         except Exception as exc:  # noqa: BLE001 — report, kill, fail the gate

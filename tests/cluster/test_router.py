@@ -13,7 +13,7 @@ from contextlib import asynccontextmanager
 import numpy as np
 
 from repro.cluster.quota import DEFAULT_TENANT
-from repro.cluster.router import ClusterRouter, RouterConfig
+from repro.cluster.router import ClusterRouter, RouterConfig, _map_body_key
 from repro.cluster.shards import InProcessShards
 from repro.util.rng import as_rng
 
@@ -61,6 +61,22 @@ def body_for(matrix):
     return json.dumps({"matrix": matrix}, sort_keys=True).encode("utf-8")
 
 
+def respelled(matrix):
+    """The same request as ``body_for(matrix)`` in different bytes."""
+    return json.dumps({"matrix": matrix}, separators=(",", ":")).encode("utf-8")
+
+
+def delta_for(raw):
+    """A ``/map/delta`` body against the ``/map`` answer ``raw``."""
+    payload = json.loads(raw)
+    return json.dumps({
+        "base_key": payload["key"],
+        "perm": payload["perm"],
+        "updates": [[0, 5, 250.0]],
+        "current_mapping": payload["mapping"],
+    }, sort_keys=True).encode("utf-8")
+
+
 def distinct_bodies(count, seed=2012):
     rng = as_rng(seed)
     bodies = []
@@ -84,7 +100,9 @@ class TestRouting:
                 assert first[1]["X-Repro-Cache"] == "miss"
                 assert second[1]["X-Repro-Cache"] == "body"
                 assert second[2] == first[2], "warm hit must be byte-identical"
-                assert router.metrics.routed_total == 2
+                # The repeat is answered at the router: one forward only.
+                assert router.metrics.routed_total == 1
+                assert router.metrics.body_cache_hits_total == 1
 
         run(scenario())
 
@@ -137,6 +155,148 @@ class TestRouting:
                 assert json.loads(raw)["error"]
                 assert router.metrics.routed_total == 1
                 assert router.metrics.unroutable_total == 0
+
+        run(scenario())
+
+
+class TestRouterAnswers:
+    """Exact repeats of a 200 ``/map`` body are answered at the router."""
+
+    def test_repeat_is_answered_without_a_forward(self):
+        async def scenario():
+            async with cluster() as router:
+                body = body_for(PAIR8)
+                status, headers, first = await router.handle_map(body)
+                assert status == 200
+                solver = headers["X-Repro-Shard"]
+                shard = router.supervisor.services[solver]
+                mapped = shard.metrics.mappings_total
+                status, headers, again = await router.handle_map(body)
+                assert status == 200 and again == first
+                assert headers == {"X-Repro-Cache": "body", "X-Repro-Shard": solver}
+                assert router.metrics.routed_total == 1
+                assert router.metrics.body_cache_hits_total == 1
+                assert shard.metrics.mappings_total == mapped
+
+        run(scenario())
+
+    def test_answered_entry_keeps_no_canonical_payload(self):
+        async def scenario():
+            async with cluster() as router:
+                body = body_for(PAIR8)
+                _, headers, first = await router.handle_map(body)
+                assert headers["X-Repro-Cache"] == "miss"
+                entry = router._map_route_info(body)
+                assert entry.answer == first
+                assert entry.shard == headers["X-Repro-Shard"]
+                assert entry.key == json.loads(first)["key"]
+                assert entry.canon_hex is None and entry.n == 0
+
+        run(scenario())
+
+    def test_repeat_is_answered_after_its_shard_died(self):
+        async def scenario():
+            async with cluster(shards=3, restart_dead_shards=False) as router:
+                body = body_for(PAIR8)
+                _, headers, first = await router.handle_map(body)
+                solver = headers["X-Repro-Shard"]
+                await router.supervisor.kill(solver)
+                status, headers, again = await router.handle_map(body)
+                assert status == 200 and again == first
+                assert headers["X-Repro-Shard"] == solver
+                # No forward, so the death is still undiscovered.
+                assert router.metrics.shard_down_total == 0
+                assert router.metrics.routed_total == 1
+
+        run(scenario())
+
+    def test_errors_are_forwarded_every_time(self):
+        async def scenario():
+            async with cluster() as router:
+                first = await router.handle_map(b"not json")
+                second = await router.handle_map(b"not json")
+                assert first[0] == second[0] == 400
+                assert first[2] == second[2]
+                assert router.metrics.routed_total == 2
+                assert router.metrics.body_cache_hits_total == 0
+
+        run(scenario())
+
+    def test_delta_is_forwarded_every_time(self):
+        async def scenario():
+            async with cluster() as router:
+                _, _, raw = await router.handle_map(body_for(PAIR8))
+                delta_body = delta_for(raw)
+                for _ in range(2):
+                    status, _, _ = await router.handle_delta(delta_body)
+                    assert status == 200
+                assert router.metrics.routed_total == 3
+                assert router.metrics.body_cache_hits_total == 0
+
+        run(scenario())
+
+    def test_repeat_after_the_ttl_is_forwarded_again(self):
+        async def scenario():
+            clock = FakeClock()
+            async with cluster(cache_ttl=10, clock=clock) as router:
+                body = body_for(PAIR8)
+                await router.handle_map(body)
+                clock.advance(11)
+                status, _, _ = await router.handle_map(body)
+                assert status == 200
+                assert router.metrics.routed_total == 2
+                assert router.metrics.body_cache_hits_total == 0
+                await router.handle_map(body)
+                assert router.metrics.body_cache_hits_total == 1
+
+        run(scenario())
+
+    def test_first_kept_answer_wins_and_keeps_its_ttl(self):
+        clock = FakeClock()
+        router = ClusterRouter(
+            RouterConfig(shards=1, cache_ttl=10),
+            supervisor=InProcessShards(1),
+            clock=clock,
+        )
+        body = body_for(PAIR8)
+        body_key = _map_body_key(body)
+        route = router._map_route_info(body, body_key)
+        router._keep_answer(body_key, route, b"first", "shard-0")
+        clock.advance(5)
+        # A later forward that routed with the same entry keeps nothing.
+        router._keep_answer(body_key, route, b"second", "shard-1")
+        entry = router._route_cache.peek(body_key)
+        assert (entry.answer, entry.shard) == (b"first", "shard-0")
+        clock.advance(5)
+        assert router._route_cache.peek(body_key) is None
+
+    def test_answers_are_bounded_by_the_route_cache(self):
+        async def scenario():
+            async with cluster(route_cache_entries=2) as router:
+                bodies = distinct_bodies(3)
+                for body in bodies:
+                    await router.handle_map(body)
+                await router.handle_map(bodies[0])
+                assert router.metrics.routed_total == 4
+                assert router.metrics.body_cache_hits_total == 0
+
+        run(scenario())
+
+    def test_concurrent_first_requests_agree_and_one_answer_is_kept(self):
+        async def scenario():
+            async with cluster() as router:
+                body = body_for(PAIR8)
+                first, second = await asyncio.gather(
+                    router.handle_map(body), router.handle_map(body)
+                )
+                assert first[0] == second[0] == 200
+                assert first[2] == second[2]
+                assert router.metrics.routed_total == 2
+                status, headers, third = await router.handle_map(body)
+                assert status == 200 and third == first[2]
+                assert headers["X-Repro-Cache"] == "body"
+                assert router.metrics.routed_total == 2
+                assert router.metrics.body_cache_hits_total == 1
 
         run(scenario())
 
@@ -235,7 +395,11 @@ class TestFailover:
                 assert status == 200
                 solver = headers["X-Repro-Shard"]
                 await router.supervisor.kill(solver)
-                status, headers, settled = await router.handle_map(body)
+                # A respelling of the same matrix is not a byte repeat, so
+                # it is forwarded to the dead owner and must re-route.
+                status, headers, settled = await router.handle_map(
+                    respelled(PAIR8)
+                )
                 assert status == 200
                 assert headers["X-Repro-Shard"] != solver
                 assert settled == first
@@ -253,13 +417,7 @@ class TestFailover:
                 status, headers, raw = await router.handle_map(body_for(PAIR8))
                 assert status == 200
                 owner = headers["X-Repro-Shard"]
-                payload = json.loads(raw)
-                delta_body = json.dumps({
-                    "base_key": payload["key"],
-                    "perm": payload["perm"],
-                    "updates": [[0, 5, 250.0]],
-                    "current_mapping": payload["mapping"],
-                }, sort_keys=True).encode("utf-8")
+                delta_body = delta_for(raw)
 
                 status, headers, _ = await router.handle_delta(delta_body)
                 assert status == 200
@@ -281,7 +439,7 @@ class TestFailover:
                 assert status == 200
                 solver = headers["X-Repro-Shard"]
                 await router.supervisor.kill(solver)
-                status, _, settled = await router.handle_map(body)
+                status, _, settled = await router.handle_map(respelled(PAIR8))
                 assert status == 200 and settled == first
                 # The death was just observed: health must degrade until
                 # the automatic restart (with replica replay) completes.
@@ -347,7 +505,8 @@ class TestQuotasAndHealth:
                 # Shard-side counters summed across both shards...
                 assert int(rows["repro_service_requests_total"]) >= 2
                 # ...next to the router's own families and tenant labels.
-                assert int(rows["repro_cluster_routed_total"]) == 2
+                assert int(rows["repro_cluster_routed_total"]) == 1
+                assert int(rows["repro_cluster_body_cache_hits_total"]) == 1
                 assert int(rows["repro_cluster_shards_up"]) == 2
                 label = (
                     'repro_cluster_tenant_requests_total'

@@ -15,13 +15,15 @@ ANNOUNCE = (
 )
 #: A shard that dies during boot without announcing a port.
 DIE = "import sys\nprint('boot failed', flush=True)\nsys.exit(3)\n"
+#: A shard that stalls before its banner: prints nothing, never exits.
+STALL = "import time\ntime.sleep(3600)\n"
 
 
 class ScriptedShards(SubprocessShardSupervisor):
     """One scripted child per shard id; records spawns and banner reads."""
 
-    def __init__(self, scripts):
-        super().__init__(shards=len(scripts))
+    def __init__(self, scripts, **kwargs):
+        super().__init__(shards=len(scripts), **kwargs)
         self.scripts = dict(zip(self.shard_ids, scripts))
         self.events = []
         self.spawned = []
@@ -67,5 +69,25 @@ def test_a_failed_boot_leaves_no_child_running():
     with pytest.raises(ShardBootError, match="shard-0 did not announce"):
         asyncio.run(shards.start_all())
     assert len(shards.spawned) == 2  # the sibling was already booting
+    assert all(proc.poll() is not None for proc in shards.spawned)
+    assert all(proc.stdout.closed for proc in shards.spawned)
+
+
+def test_a_stalled_boot_times_out_and_leaves_no_child_running():
+    shards = ScriptedShards([ANNOUNCE, STALL], boot_timeout=0.5)
+
+    async def scenario():
+        try:
+            await asyncio.wait_for(shards.start_all(), 10)
+        finally:
+            # Without a bounded banner wait the boot thread would block
+            # the loop's executor shutdown forever; free it either way.
+            for proc in shards.spawned:
+                if proc.poll() is None:
+                    proc.kill()
+
+    with pytest.raises(ShardBootError, match="shard-1 did not announce"):
+        asyncio.run(scenario())
+    assert len(shards.spawned) == 2
     assert all(proc.poll() is not None for proc in shards.spawned)
     assert all(proc.stdout.closed for proc in shards.spawned)

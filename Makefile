@@ -15,7 +15,7 @@
 #                      require byte-identical settled responses + clean drain
 #   make bench-service mapping-service load bench (writes BENCH_service.json)
 #   make bench-cluster sharded-cluster load bench (writes BENCH_cluster.json)
-#   make remap-smoke   online-remapping gate: adaptive beats static, deterministic
+#   make remap-smoke   online-remapping gate: pinned outcome, deterministic
 #   make test-chaos    fault-injection chaos harness (fixed replay seeds)
 #   make trace-smoke   `repro trace` twice per clock domain, byte-compare
 #   make perf-gate     regression-ledger gate: BENCH_*.json vs BENCH_HISTORY.jsonl
@@ -85,8 +85,9 @@ bench-service:
 bench-cluster:
 	$(PYTHON) benchmarks/bench_cluster_throughput.py
 
-# Online-remapping determinism + win gate: a small repartitioned splice
-# where the live controller must beat the static mapping, with the
+# Online-remapping determinism + outcome gate: a small repartitioned
+# splice whose static and adaptive cycles, migrations, threads moved and
+# decision digest must equal the values pinned in the script, with the
 # decision log byte-identical across two runs.
 remap-smoke:
 	$(PYTHON) benchmarks/remap_smoke.py

@@ -101,16 +101,19 @@ class OracleController:
     """Applies the known-best mapping at the splice boundary, paying the
     same per-thread bill and destination flush the policy's model charges."""
 
-    warmup_flush = True
+    tick_interval_cycles = 0  # barrier-only
 
     def __init__(self, mapping, boundary_phase, cost_cycles):
         self.mapping = mapping
         self.boundary_phase = boundary_phase
         self.migration_cost_cycles = cost_cycles
 
-    def on_phase_end(self, phase_index, now_cycles):
+    def on_phase_end(self, phase_index, now_cycles, mapping):
         if phase_index == self.boundary_phase:
             return list(self.mapping)
+        return None
+
+    def on_tick(self, now_cycles, mapping):
         return None
 
 

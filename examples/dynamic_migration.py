@@ -4,9 +4,9 @@
 A workload whose communication pattern flips mid-run: during the first
 epoch threads pair (0,1)(2,3)(4,5)(6,7); in the second they pair
 (0,4)(1,5)(2,6)(3,7).  A static mapping tuned to the first epoch turns
-pathological after the shift.  The MigrationController watches the SM
-detector's windowed matrices, notices the drift, and remaps mid-run —
-at the cost of a couple of migrations.
+pathological after the shift.  The OnlineRemapController streams the SM
+detector's events into a sliding window, notices the drift, and remaps
+the stale mapping mid-run — once, paying a priced migration.
 
 Run:  python examples/dynamic_migration.py
 """
@@ -22,7 +22,8 @@ from repro import (
     hierarchical_mapping,
     oracle_matrix,
 )
-from repro.core.dynamic import MigrationController
+from repro.core import SlidingWindowCommMatrix
+from repro.mapping.online import OnlineRemapController, OnlineRemapPolicy
 from repro.workloads.synthetic import PhaseShiftWorkload
 
 TOPO = harpertown()
@@ -43,16 +44,16 @@ def main() -> None:
     static_map = hierarchical_mapping(oracle_matrix(epoch0), TOPO)
     static = Simulator(System(TOPO)).run(workload(), mapping=static_map)
 
-    # Dynamic: SM detection + drift-gated migration.
+    # Dynamic: the same stale mapping to start, SM detection feeding a
+    # sliding window, and the online remap policy deciding remap-or-hold.
     system = System(TOPO, SystemConfig(tlb_management=TLBManagement.SOFTWARE))
     detector = SoftwareManagedDetector(8, DetectorConfig(sm_sample_threshold=2))
-    controller = MigrationController(
-        detector, TOPO,
-        min_interval_cycles=100_000,
-        migration_cost_cycles=10_000,
+    controller = OnlineRemapController(
+        detector, SlidingWindowCommMatrix(8, 300_000), OnlineRemapPolicy(TOPO)
     )
     dynamic = Simulator(system).run(
-        workload(), detectors=[detector], migration_controller=controller
+        workload(), mapping=static_map, detectors=[detector],
+        migration_controller=controller,
     )
 
     print(f"{'metric':<22} {'static (stale)':>15} {'dynamic':>12}")
@@ -67,9 +68,14 @@ def main() -> None:
         print(f"{label:<22} {s:>15,} {d:>12,}  ({100 * (1 - d / s):+.1f}%)")
     print(f"\nmigrations: {dynamic.migrations} "
           f"(threads moved: {dynamic.threads_migrated})")
-    print("mapping log:")
-    for i, m in enumerate(controller.mapping_log):
-        print(f"  remap {i}: {m}")
+    print(f"starting mapping: {static_map}")
+    print("remap decisions:")
+    for d in controller.decisions:
+        if d.remap:
+            print(f"  cycle {d.now_cycles:,}: {d.mapping} "
+                  f"(drift {d.drift:.2f}, {d.moved_threads} threads, "
+                  f"predicted gain {d.predicted_gain_cycles:,.0f} "
+                  f"vs bill {d.migration_cost_cycles:,} cycles)")
 
 
 if __name__ == "__main__":

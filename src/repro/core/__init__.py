@@ -20,7 +20,6 @@ from repro.core.sm_detector import SoftwareManagedDetector
 from repro.core.hm_detector import HardwareManagedDetector
 from repro.core.oracle import OracleDetector, oracle_matrix
 from repro.core.history import CommunicationHistory, pattern_drift
-from repro.core.dynamic import MigrationController
 from repro.core.streaming import DecayedCommMatrix, SlidingWindowCommMatrix
 from repro.core.accuracy import (
     cosine_similarity,
@@ -45,7 +44,6 @@ __all__ = [
     "oracle_matrix",
     "CommunicationHistory",
     "pattern_drift",
-    "MigrationController",
     "DecayedCommMatrix",
     "SlidingWindowCommMatrix",
     "cosine_similarity",

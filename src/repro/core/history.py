@@ -5,9 +5,11 @@ the communication pattern (Section III-B4) one needs windowed views:
 ``CommunicationHistory`` snapshots a detector's matrix at chosen instants
 and exposes per-window deltas, plus a drift metric between windows.
 
-This is the substrate for the paper's future work ("develop dynamic
-migration strategies which use the mechanisms described here") implemented
-in :mod:`repro.core.dynamic`.
+``pattern_drift`` is the drift gate of the online remap policy
+(:mod:`repro.mapping.online`), the paper's future work ("develop dynamic
+migration strategies which use the mechanisms described here").  The
+remap controller reads a streaming view (:mod:`repro.core.streaming`),
+not ``CommunicationHistory`` snapshots.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ Per benchmark:
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -35,7 +34,6 @@ from repro.machine.system import System, SystemConfig
 from repro.machine.topology import Topology, harpertown
 from repro.mapping.baselines import random_mapping
 from repro.mapping.hierarchical import hierarchical_mapping
-from repro.obs.context import TRACE_ENV_VAR, clear_context, install_context
 from repro.obs.metrics import global_registry
 from repro.obs.trace import get_tracer
 from repro.tlb.mmu import TLBManagement
@@ -276,10 +274,12 @@ class ExperimentRunner:
     ) -> Dict[str, BenchmarkResult]:
         """Run the whole benchmark set; returns {name: BenchmarkResult}.
 
-        ``workers > 1`` fans the (independent) benchmarks out over a
-        process pool.  Results are bit-identical to the serial run: every
-        random stream is derived from (seed, benchmark, run label), never
-        from execution order.
+        ``workers > 1`` fans the (independent) benchmarks out as cells of
+        the spec runner's process pool (:func:`~repro.experiments.specs.
+        steal_cells`: worker deaths requeue once, counted in
+        :attr:`pool_rebuilds`).  Results are bit-identical to the serial
+        run: every random stream is derived from (seed, benchmark, run
+        label), never from execution order.
         """
         names = list(benchmarks or self.config.benchmarks)
         out: Dict[str, BenchmarkResult] = {}
@@ -289,56 +289,21 @@ class ExperimentRunner:
                 if verbose:  # pragma: no cover - console convenience
                     self._progress(out[name])
             return out
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
+        from repro.experiments.specs import steal_cells  # specs imports this module
 
         cache_dir = str(self.cache.root) if self.cache is not None else None
-        # Trace-context propagation: children inherit the parent's trace
-        # id via the environment (same trick as REPRO_FAULT_PLAN), so a
-        # traced suite run links worker-side spans to this process.
-        tracer = get_tracer()
-        ctx_installed = False
-        if tracer.enabled and not os.environ.get(TRACE_ENV_VAR):
-            install_context(tracer.child_context())
-            ctx_installed = True
-        # Worker-death tolerance: a BrokenProcessPool poisons every
-        # future in the pool, so the unfinished benchmarks are requeued
-        # once on a fresh pool (results are pure functions of config, so
-        # a rerun is byte-identical); a second pool death is fatal.
-        pending = names
-        retried = False
-        try:
-            while pending:
-                failed: List[str] = []
-                broken: Optional[BaseException] = None
-                with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-                    futures = {
-                        name: pool.submit(_run_benchmark_task, self.config,
-                                          self.topology, name, cache_dir)
-                        for name in pending
-                    }
-                    for name in pending:
-                        try:
-                            out[name] = futures[name].result()
-                        except BrokenProcessPool as exc:
-                            broken = exc
-                            failed.append(name)
-                            continue
-                        if verbose:  # pragma: no cover - console convenience
-                            self._progress(out[name])
-                if not failed:
-                    break
-                if retried:
-                    assert broken is not None
-                    raise broken
-                retried = True
-                self.pool_rebuilds += 1
-                global_registry().counter("runner_pool_rebuilds_total").inc()
-                pending = failed
-        finally:
-            if ctx_installed:
-                clear_context()
+        tasks = {
+            name: ("benchmark", self.config, self.topology, name, cache_dir)
+            for name in names
+        }
+        out = steal_cells(tasks, workers, on_rebuild=self._pool_rebuilt)
+        if verbose:  # pragma: no cover - console convenience
+            for name in names:
+                self._progress(out[name])
         return out
+
+    def _pool_rebuilt(self, error: BaseException) -> None:
+        self.pool_rebuilds += 1
 
     @staticmethod
     def _progress(r: BenchmarkResult) -> None:  # pragma: no cover - console

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,6 +47,9 @@ from repro.experiments.cache import ResultCache, config_key
 from repro.experiments.config import PAPER_BENCHMARKS, ExperimentConfig
 from repro.experiments.runner import BenchmarkResult, ExperimentRunner, _run_benchmark_task
 from repro.machine.topology import Topology, harpertown, nehalem
+from repro.obs.context import TRACE_ENV_VAR, clear_context, install_context
+from repro.obs.metrics import global_registry
+from repro.obs.trace import get_tracer
 from repro.util.validation import ValidationError
 
 #: Bump when spec semantics change incompatibly (axes meaning, report
@@ -337,51 +341,63 @@ def run_spec(
     return run
 
 
-def _steal_cells(
+def steal_cells(
     tasks: Mapping[Any, Tuple[Any, ...]],
     workers: int,
-) -> Tuple[Dict[Any, Any], int]:
+    on_rebuild: Callable[[BaseException], None],
+) -> Dict[Any, Any]:
     """Run ``{cell: task-args}`` over a work-stealing process pool.
 
     Submit-per-cell gives natural work stealing: idle workers pull the
     next pending cell the moment they finish one, so a straggler kernel
-    never serializes the grid.  A BrokenProcessPool requeues the
-    unfinished cells once on a fresh pool (cells are pure functions of
-    their arguments, so the rerun is byte-identical); a second pool
-    death is fatal.  Returns (results, pool_rebuilds).
+    never serializes the grid.  A BrokenProcessPool poisons every future
+    in the pool, so the unfinished cells are requeued once on a fresh
+    pool (cells are pure functions of their arguments, so the rerun is
+    byte-identical) after ``on_rebuild`` is handed the error; a second
+    pool death is fatal.  A traced caller's trace id reaches the workers
+    through the environment (as ``REPRO_FAULT_PLAN`` does), linking
+    their spans to the caller's trace.
     """
     out: Dict[Any, Any] = {}
     if workers <= 1 or len(tasks) <= 1:
         for cell, args in tasks.items():
             out[cell] = _spec_cell_task(*args)
-        return out, 0
+        return out
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    tracer = get_tracer()
+    ctx_installed = tracer.enabled and not os.environ.get(TRACE_ENV_VAR)
+    if ctx_installed:
+        install_context(tracer.child_context())
     pending = list(tasks)
-    rebuilds = 0
     retried = False
-    while pending:
-        failed: List[Any] = []
-        broken: Optional[BaseException] = None
-        with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-            futures = {cell: pool.submit(_spec_cell_task, *tasks[cell])
-                       for cell in pending}
-            for cell in pending:
-                try:
-                    out[cell] = futures[cell].result()
-                except BrokenProcessPool as exc:
-                    broken = exc
-                    failed.append(cell)
-        if not failed:
-            break
-        if retried:
+    try:
+        while pending:
+            failed: List[Any] = []
+            broken: Optional[BaseException] = None
+            with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
+                futures = {cell: pool.submit(_spec_cell_task, *tasks[cell])
+                           for cell in pending}
+                for cell in pending:
+                    try:
+                        out[cell] = futures[cell].result()
+                    except BrokenProcessPool as exc:
+                        broken = exc
+                        failed.append(cell)
+            if not failed:
+                break
             assert broken is not None
-            raise broken
-        retried = True
-        rebuilds += 1
-        pending = failed
-    return out, rebuilds
+            if retried:
+                raise broken
+            retried = True
+            global_registry().counter("runner_pool_rebuilds_total").inc()
+            on_rebuild(broken)
+            pending = failed
+    finally:
+        if ctx_installed:
+            clear_context()
+    return out
 
 
 def _spec_cell_task(kind: str, *args: Any) -> Any:
@@ -464,7 +480,8 @@ def _run_protocol(
                 misses += 1
                 tasks[(topo_name, seed, kernel)] = (
                     "benchmark", config, topology, kernel, cache_dir)
-    fresh, rebuilds = _steal_cells(tasks, workers)
+    broken: List[BaseException] = []
+    fresh = steal_cells(tasks, workers, on_rebuild=broken.append)
     for (topo_name, seed, kernel), result in fresh.items():
         grid[(topo_name, seed)][kernel] = result
     primary_key = (spec.topologies[0], spec.seeds[0])
@@ -480,7 +497,7 @@ def _run_protocol(
             )
     return SpecRun(spec=spec, config=spec.config(params=params), results=results,
                    grid=grid, rows=rows, artifacts={}, cache_hits=hits,
-                   cache_misses=misses, pool_rebuilds=rebuilds)
+                   cache_misses=misses, pool_rebuilds=len(broken))
 
 
 def _run_ablation(
@@ -511,8 +528,8 @@ def _run_ablation(
         misses += 1
         tasks[point] = ("ablation", spec.variant, kernel, config.scale,
                         seed, topology, point, cache_dir)
-    fresh, rebuilds = _steal_cells(tasks, workers)
-    records.update(fresh)
+    broken: List[BaseException] = []
+    records.update(steal_cells(tasks, workers, on_rebuild=broken.append))
     ordered = [records[p] for p in points]
     axis_key = axis[:-1] if axis.endswith("s") else axis
     rows = [
@@ -522,7 +539,7 @@ def _run_ablation(
     ]
     return SpecRun(spec=spec, config=config, results=ordered, grid={},
                    rows=rows, artifacts={}, cache_hits=hits,
-                   cache_misses=misses, pool_rebuilds=rebuilds)
+                   cache_misses=misses, pool_rebuilds=len(broken))
 
 
 def _run_engine(

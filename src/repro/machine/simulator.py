@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.machine.system import System
 from repro.obs.metrics import global_registry
@@ -180,6 +180,30 @@ class SimResult:
 PhaseSource = Union[Workload, Iterable[Phase]]
 
 
+class RemapHook(Protocol):
+    """The contract of :meth:`Simulator.run`'s ``migration_controller``.
+
+    Both callbacks receive a copy of the mapping in force (the simulator
+    is the one source of truth for placement) and return a new
+    thread→core mapping or None.  ``on_phase_end`` runs at every
+    barrier; ``on_tick`` runs between scheduling rounds, at most every
+    ``tick_interval_cycles`` (0 means barrier-only).  Every migration
+    charges ``migration_cost_cycles`` per moved thread on its new core
+    and flushes that core's TLBs.
+    """
+
+    tick_interval_cycles: int
+    migration_cost_cycles: int
+
+    def on_phase_end(
+        self, phase_index: int, now_cycles: int, mapping: List[int]
+    ) -> Optional[List[int]]:
+        """Barrier callback: a new mapping to apply, or None."""
+
+    def on_tick(self, now_cycles: int, mapping: List[int]) -> Optional[List[int]]:
+        """Mid-phase callback: a new mapping to apply, or None."""
+
+
 class Simulator:
     """Runs workloads on a :class:`System`."""
 
@@ -193,7 +217,7 @@ class Simulator:
         mapping: Optional[Sequence[int]] = None,
         detectors: Sequence[object] = (),
         reset: bool = True,
-        migration_controller: Optional[object] = None,
+        migration_controller: Optional[RemapHook] = None,
     ) -> SimResult:
         """Simulate one full execution.
 
@@ -206,17 +230,12 @@ class Simulator:
                 :class:`~repro.core.detection.Detector` protocol; they are
                 attached for the duration of the run.
             reset: start from cold caches/TLBs and zeroed counters.
-            migration_controller: optional dynamic-mapping policy (e.g.
-                :class:`~repro.core.dynamic.MigrationController`).  Its
-                ``on_phase_end(phase_index, now_cycles)`` hook is called at
-                every barrier; a returned mapping is applied before the
-                next phase, each moved thread paying the controller's
-                ``migration_cost_cycles`` on its new core, and attached
-                detectors are rebound to the new placement.  Controllers
-                that also expose ``on_tick(now_cycles)`` and a positive
-                ``tick_interval_cycles`` are additionally consulted
-                mid-phase, between scheduling rounds, at that cadence —
-                live remapping rather than barrier-granularity.
+            migration_controller: optional dynamic-mapping policy
+                implementing :class:`RemapHook` (e.g.
+                :class:`~repro.mapping.online.OnlineRemapController`).  A
+                mapping it returns is applied at once — migration cost
+                charged, destination TLBs flushed — and attached
+                detectors are rebound to the new placement.
         """
         system = self.system
         phases = workload.phases() if isinstance(workload, Workload) else iter(workload)
@@ -301,7 +320,7 @@ class Simulator:
         rest: Iterable[Phase],
         mapping: List[int],
         detectors: Sequence[object],
-        migration_controller: Optional[object] = None,
+        migration_controller: Optional[RemapHook] = None,
     ) -> SimResult:
         system = self.system
         cfg = self.config
@@ -348,21 +367,19 @@ class Simulator:
                 if mmu.l2_tlb is not None:
                     mmu.l2_tlb.flush()
 
-        # Mid-phase remapping: a controller exposing ``on_tick`` with a
-        # positive ``tick_interval_cycles`` is consulted *inside* phases,
-        # not just at barriers.  Measurement motivates this: by the first
-        # barrier after a pattern shift the new working set is warm, and
-        # a migration's physical refetch storm exceeds any remaining
+        # Mid-phase remapping: a controller with a positive
+        # ``tick_interval_cycles`` is consulted *inside* phases, not just
+        # at barriers.  Measurement motivates this: by the first barrier
+        # after a pattern shift the new working set is warm, and a
+        # migration's physical refetch storm exceeds any remaining
         # placement benefit — only a remap during the first phase of the
         # new pattern, while caches are still cold, can win.
-        tick_interval = int(
-            getattr(migration_controller, "tick_interval_cycles", 0) or 0
+        tick_interval = (
+            migration_controller.tick_interval_cycles
+            if migration_controller is not None
+            else 0
         )
-        on_tick = (
-            migration_controller.on_tick
-            if tick_interval > 0 and hasattr(migration_controller, "on_tick")
-            else None
-        )
+        on_tick = migration_controller.on_tick if tick_interval > 0 else None
         next_tick = tick_interval
 
         def run_phase(phase: Phase) -> int:
@@ -443,7 +460,7 @@ class Simulator:
                     now = max(core_cycles)
                     if now >= next_tick:
                         next_tick = now + tick_interval
-                        proposed = on_tick(now)
+                        proposed = on_tick(now, list(mapping))
                         if proposed is not None:
                             apply_mapping(list(proposed))
             return done
@@ -501,21 +518,19 @@ class Simulator:
             moved = [t for t in range(len(mapping)) if mapping[t] != new_mapping[t]]
             if not moved:
                 return
-            cost = int(getattr(migration_controller, "migration_cost_cycles", 0))
+            cost = migration_controller.migration_cost_cycles
             for t in moved:
                 core_cycles[new_mapping[t]] += cost
-            if getattr(migration_controller, "warmup_flush", False):
                 # Charge the warm-up penalty *physically*, not just as a
                 # lump of cycles: a migrated thread arrives at a core whose
                 # TLBs hold the previous tenant's translations.  Flushing
                 # the destination's TLB levels forces the re-walk storm the
                 # cost model prices, so mispriced models show up as cycle
                 # discrepancies in the adaptive-vs-static study.
-                for t in moved:
-                    mmu = system.mmus[new_mapping[t]]
-                    mmu.tlb.flush()
-                    if mmu.l2_tlb is not None:
-                        mmu.l2_tlb.flush()
+                mmu = system.mmus[new_mapping[t]]
+                mmu.tlb.flush()
+                if mmu.l2_tlb is not None:
+                    mmu.l2_tlb.flush()
             mapping[:] = new_mapping
             migrations += 1
             threads_migrated += len(moved)
@@ -534,7 +549,7 @@ class Simulator:
             if migration_controller is None:
                 return
             new_mapping = migration_controller.on_phase_end(
-                phase_index, max(core_cycles)
+                phase_index, max(core_cycles), list(mapping)
             )
             if new_mapping is None:
                 return

@@ -17,8 +17,8 @@ two hysteresis gates:
 
 The cost model prices what the simulator then *charges physically*: each
 moved thread pays the per-thread cycles on its destination core, and the
-destination's TLB hierarchy is flushed (``warmup_flush``), so the re-walk
-storm the model prices actually happens in the run.
+destination's TLB hierarchy is flushed, so the re-walk storm the model
+prices actually happens in the run.
 
 Everything here is deterministic: decisions are pure functions of the
 window matrix, mapping, clock and policy parameters, and the controller
@@ -278,13 +278,10 @@ class OnlineRemapController:
 
     Wires the pieces together: registers the streaming ``view`` as a sink
     on the ``detector`` (so every detection event updates the window),
-    and answers the simulator's ``on_phase_end`` barrier callback with
-    the policy's verdict.
-
-    Setting :attr:`warmup_flush` tells the simulator to flush the
-    destination core's TLB hierarchy for every moved thread, so the
-    warm-up penalty the cost model prices is charged physically, not
-    just as a lump of cycles.
+    and answers the simulator's callbacks (the
+    :class:`~repro.machine.simulator.RemapHook` contract) with the
+    policy's verdict on the mapping in force, which the simulator passes
+    in.
 
     The controller decides at two cadences: the simulator's barrier
     callback (``on_phase_end``) and — when ``tick_interval_cycles`` is
@@ -298,21 +295,15 @@ class OnlineRemapController:
         view: streaming estimator (``DecayedCommMatrix`` or
             ``SlidingWindowCommMatrix``) fed from detection events.
         policy: remap-or-hold decision maker.
-        initial_mapping: the thread→core mapping the run starts under
-            (what ``Simulator.run`` was given).
         tick_interval_cycles: minimum simulated cycles between mid-phase
             decision points (0 disables ticks; barrier-only).
     """
-
-    #: Simulator contract: flush destination TLBs on migration.
-    warmup_flush = True
 
     def __init__(
         self,
         detector: Detector,
         view,
         policy: Optional[OnlineRemapPolicy] = None,
-        initial_mapping: Optional[Sequence[int]] = None,
         tick_interval_cycles: int = 100_000,
     ):
         if tick_interval_cycles < 0:
@@ -321,11 +312,6 @@ class OnlineRemapController:
         self.view = view
         self.policy = policy or OnlineRemapPolicy()
         self.tick_interval_cycles = tick_interval_cycles
-        self._current_mapping = (
-            list(initial_mapping)
-            if initial_mapping is not None
-            else list(range(detector.num_threads))
-        )
         self._last_remap_cycles: Optional[int] = None
         #: Window the mapping in force was fit to (drift-gate reference).
         self._basis: Optional[CommunicationMatrix] = None
@@ -338,19 +324,21 @@ class OnlineRemapController:
         """Per-thread charge the simulator applies at each migration."""
         return self.policy.cost_model.per_thread_cycles
 
-    @property
-    def current_mapping(self) -> List[int]:
-        return list(self._current_mapping)
-
-    def on_phase_end(self, phase_index: int, now_cycles: int) -> Optional[List[int]]:
+    def on_phase_end(
+        self, phase_index: int, now_cycles: int, mapping: Sequence[int]
+    ) -> Optional[List[int]]:
         """Simulator barrier hook: returns a new mapping or None."""
-        return self._step(now_cycles)
+        return self._step(now_cycles, mapping)
 
-    def on_tick(self, now_cycles: int) -> Optional[List[int]]:
+    def on_tick(
+        self, now_cycles: int, mapping: Sequence[int]
+    ) -> Optional[List[int]]:
         """Simulator mid-phase hook (same decision flow as barriers)."""
-        return self._step(now_cycles)
+        return self._step(now_cycles, mapping)
 
-    def _step(self, now_cycles: int) -> Optional[List[int]]:
+    def _step(
+        self, now_cycles: int, mapping: Sequence[int]
+    ) -> Optional[List[int]]:
         self.view.advance(now_cycles)
         window = self.view.current()
         if (
@@ -370,7 +358,7 @@ class OnlineRemapController:
             return None
         decision = self.policy.decide(
             window,
-            self._current_mapping,
+            mapping,
             now_cycles,
             self._last_remap_cycles,
             basis=self._basis,
@@ -384,7 +372,6 @@ class OnlineRemapController:
                 self._basis = window
             return None
         self._basis = window
-        self._current_mapping = list(decision.mapping)
         self._last_remap_cycles = now_cycles
         self.migrations += 1
         return list(decision.mapping)

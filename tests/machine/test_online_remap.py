@@ -11,6 +11,7 @@ import pytest
 from repro.core import (
     DecayedCommMatrix,
     DetectorConfig,
+    SlidingWindowCommMatrix,
     SoftwareManagedDetector,
 )
 from repro.machine.simulator import SimConfig, Simulator
@@ -21,6 +22,7 @@ from repro.tlb.mmu import TLBManagement
 from repro.tlb.tlb import TLBConfig
 from repro.workloads.composite import make_splice
 from repro.workloads.npb import make_npb_workload
+from repro.workloads.synthetic import PhaseShiftWorkload
 
 
 def make_system():
@@ -92,24 +94,29 @@ class TestDeterminism:
 
 
 class ForcedRemap:
-    """Controller stub: remap to a fixed mapping at one barrier."""
+    """Barrier-only controller stub: remap to a fixed mapping at one barrier."""
 
     migration_cost_cycles = 17_160
+    tick_interval_cycles = 0
 
-    def __init__(self, mapping, at_phase, warmup_flush):
+    def __init__(self, mapping, at_phase):
         self.mapping = mapping
         self.at_phase = at_phase
-        self.warmup_flush = warmup_flush
+        self.ticks = 0
 
-    def on_phase_end(self, phase_index, now_cycles):
+    def on_phase_end(self, phase_index, now_cycles, mapping):
         if phase_index == self.at_phase:
             return list(self.mapping)
+        return None
+
+    def on_tick(self, now_cycles, mapping):
+        self.ticks += 1
         return None
 
 
 class TestMigrationPhysics:
     """Swap two threads that share pages: without the warm-up flush, the
-    arriving thread free-rides on the previous tenant's translations."""
+    arriving thread would free-ride on the previous tenant's translations."""
 
     SWAP = [1, 0, 2, 3, 4, 5, 6, 7]
 
@@ -127,29 +134,25 @@ class TestMigrationPhysics:
             streams.append(AccessStream(addrs, np.zeros(len(addrs), bool)))
         return Phase(name, streams)
 
-    def run_forced(self, warmup_flush):
-        ctl = ForcedRemap(self.SWAP, at_phase=0, warmup_flush=warmup_flush)
+    def run_phases(self, controller):
         return Simulator(make_system(), SimConfig()).run(
             [self.shared_phase("warm"), self.shared_phase("after")],
-            migration_controller=ctl,
+            migration_controller=controller,
         )
 
     def test_warmup_flush_charged_physically(self):
-        flushed = self.run_forced(warmup_flush=True)
-        unflushed = self.run_forced(warmup_flush=False)
-        assert flushed.threads_migrated == 2
-        assert unflushed.threads_migrated == 2
-        # The destination-TLB flush forces a re-walk storm: more TLB
-        # misses, more cycles.  The lump charge alone is identical.
-        assert flushed.tlb_misses > unflushed.tlb_misses
-        assert flushed.execution_cycles > unflushed.execution_cycles
+        swapped = self.run_phases(ForcedRemap(self.SWAP, at_phase=0))
+        pinned = self.run_phases(None)
+        assert swapped.threads_migrated == 2
+        # The threads trade cores but walk the same 8 pages, so only the
+        # destination-TLB flush makes each of the 2 re-walk all 8.
+        assert swapped.tlb_misses == pinned.tlb_misses + 2 * 8
 
 
 class TickCounter:
     """Controller stub: counts mid-phase ticks, remaps on the Nth."""
 
     migration_cost_cycles = 0
-    warmup_flush = False
     tick_interval_cycles = 50_000
 
     def __init__(self, remap_on_tick=None, mapping=None):
@@ -157,13 +160,18 @@ class TickCounter:
         self.barriers = 0
         self.remap_on_tick = remap_on_tick
         self.mapping = mapping
+        #: The mapping in force each callback was handed.
+        self.seen = []
 
-    def on_phase_end(self, phase_index, now_cycles):
+    def on_phase_end(self, phase_index, now_cycles, mapping):
         self.barriers += 1
+        self.seen.append(list(mapping))
         return None
 
-    def on_tick(self, now_cycles):
+    def on_tick(self, now_cycles, mapping):
         self.ticks += 1
+        self.seen.append(list(mapping))
+        mapping.reverse()  # a copy: scribbling on it must not move threads
         if self.ticks == self.remap_on_tick:
             return list(self.mapping)
         return None
@@ -192,10 +200,8 @@ class TestMidPhaseTicks:
         assert res.threads_migrated == 2
 
     def test_barrier_only_controller_unchanged(self):
-        # Controllers without on_tick (e.g. MigrationController) keep
-        # the barrier-only contract.
-        ctl = ForcedRemap([1, 0, 2, 3, 4, 5, 6, 7], at_phase=0,
-                          warmup_flush=False)
+        # tick_interval_cycles = 0 is the barrier-only contract.
+        ctl = ForcedRemap([1, 0, 2, 3, 4, 5, 6, 7], at_phase=0)
         det = detector()
         res = Simulator(make_system(), SimConfig()).run(
             make_npb_workload("ua", num_threads=8, scale=0.2, seed=1),
@@ -203,3 +209,51 @@ class TestMidPhaseTicks:
             migration_controller=ctl,
         )
         assert res.migrations == 1
+        assert ctl.ticks == 0
+
+    def test_hooks_see_the_mapping_in_force(self):
+        start = [2, 3, 0, 1, 6, 7, 4, 5]
+        swap = [3, 2, 0, 1, 6, 7, 4, 5]
+        ctl = TickCounter(remap_on_tick=2, mapping=swap)
+        res = Simulator(make_system(), SimConfig()).run(
+            make_npb_workload("ua", num_threads=8, scale=0.2, seed=1),
+            mapping=start,
+            detectors=[detector()],
+            migration_controller=ctl,
+        )
+        assert res.migrations == 1
+        # Ticks 1-2 run under the starting mapping, every later callback
+        # (ticks and barriers alike) under the remapped one.
+        assert ctl.seen[:2] == [start, start]
+        assert len(ctl.seen) > 2
+        assert all(m == swap for m in ctl.seen[2:])
+
+
+class TestMappingInForce:
+    """The controller judges the placement the simulator runs, not one it
+    assumed: started on a mapping already fit to the shifted pattern, it
+    must never remap."""
+
+    def test_controller_judges_the_simulators_starting_mapping(self):
+        system = System(
+            harpertown(), SystemConfig(tlb_management=TLBManagement.SOFTWARE)
+        )
+        det = SoftwareManagedDetector(8, DetectorConfig(sm_sample_threshold=2))
+        ctl = OnlineRemapController(
+            det, SlidingWindowCommMatrix(8, 300_000),
+            OnlineRemapPolicy(harpertown()),
+        )
+        res = Simulator(system).run(
+            PhaseShiftWorkload(num_threads=8, seed=9, iterations_per_epoch=10),
+            mapping=[0, 4, 1, 5, 2, 6, 3, 7],
+            detectors=[det],
+            migration_controller=ctl,
+        )
+        assert res.migrations == ctl.migrations == 0
+        prechecked = {"hold:no-signal", "hold:baseline", "hold:drift"}
+        judged = [d.reason for d in ctl.decisions if d.reason not in prechecked]
+        assert judged and set(judged) == {"hold:migration-cost"}
+        # Pinned: the log of this placement judged from the first tick.
+        assert ctl.decision_digest() == (
+            "3fd1c4c363350963fc456636fe1bfaa9b660f8864ce0919048a46a3bdf42e90a"
+        )

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.core.detection import DetectorConfig
-from repro.core.dynamic import MigrationController
 from repro.core.sm_detector import SoftwareManagedDetector
+from repro.core.streaming import SlidingWindowCommMatrix
 from repro.machine.simulator import SimConfig, Simulator
 from repro.machine.system import System, SystemConfig
 from repro.machine.topology import harpertown
+from repro.mapping.online import OnlineRemapController, OnlineRemapPolicy
 from repro.tlb.mmu import TLBManagement
 from repro.workloads.synthetic import NearestNeighborWorkload, PhaseShiftWorkload
 
@@ -56,13 +57,14 @@ class TestDynamicMigrationVisibility:
         drop well below the pre-adaptation epoch-2 level."""
         system = System(TOPO, SystemConfig(tlb_management=TLBManagement.SOFTWARE))
         det = SoftwareManagedDetector(8, DetectorConfig(sm_sample_threshold=2))
-        ctrl = MigrationController(det, TOPO, min_interval_cycles=100_000,
-                                   migration_cost_cycles=10_000)
+        ctrl = OnlineRemapController(
+            det, SlidingWindowCommMatrix(8, 300_000), OnlineRemapPolicy(TOPO)
+        )
         res = Simulator(system, SimConfig(collect_phase_stats=True)).run(
             PhaseShiftWorkload(num_threads=8, seed=9, iterations_per_epoch=8),
             detectors=[det], migration_controller=ctrl,
         )
-        assert res.migrations >= 2
+        assert res.migrations == 1
         e1 = [p for p in res.phases if ".e1." in p.name]
         # First epoch-1 phases run under the stale epoch-0 mapping; the
         # last ones run remapped.

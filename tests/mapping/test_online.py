@@ -119,15 +119,20 @@ class StubDetector:
             sink(i, j, amount, now)
 
 
-def drive(ctl, det, pairs, start, count=40, step=10_000, weight=2.0):
-    """Stream `pairs` events and tick the controller; return remaps."""
+def drive(ctl, det, pairs, start, mapping, count=40, step=10_000, weight=2.0):
+    """Stream `pairs` events and tick the controller under `mapping`.
+
+    The driver owns the mapping in force, as the simulator does: it is
+    updated in place on every remap.  Returns the remaps.
+    """
     remaps = []
     now = start
     for _ in range(count):
         for i, j in pairs:
             det.emit(i, j, weight, now)
-        result = ctl.on_tick(now)
+        result = ctl.on_tick(now, list(mapping))
         if result is not None:
+            mapping[:] = result
             remaps.append((now, result))
         now += step
     return remaps
@@ -146,7 +151,7 @@ class TestController:
 
     def test_first_signal_adopts_baseline(self):
         det, ctl = self.make()
-        drive(ctl, det, NEAR, start=0, count=3)
+        drive(ctl, det, NEAR, 0, list(IDENT), count=3)
         reasons = [d.reason for d in ctl.decisions]
         # Quiet ticks hold on no-signal; the first window with enough
         # evidence is adopted as the baseline, never acted on.
@@ -157,16 +162,17 @@ class TestController:
 
     def test_pattern_shift_triggers_one_remap(self):
         det, ctl = self.make()
-        drive(ctl, det, NEAR, start=0)
-        remaps = drive(ctl, det, FAR, start=1_000_000)
+        mapping = list(IDENT)
+        drive(ctl, det, NEAR, 0, mapping)
+        remaps = drive(ctl, det, FAR, 1_000_000, mapping)
         assert ctl.migrations == 1
         assert len(remaps) == 1
-        _, mapping = remaps[0]
-        assert ctl.current_mapping == mapping
+        _, remapped = remaps[0]
+        assert mapping == remapped
 
     def test_stable_pattern_never_remaps(self):
         det, ctl = self.make()
-        drive(ctl, det, NEAR, start=0, count=200)
+        drive(ctl, det, NEAR, 0, list(IDENT), count=200)
         assert ctl.migrations == 0
 
     def test_migration_cost_exported_to_simulator(self):
@@ -174,7 +180,6 @@ class TestController:
         assert ctl.migration_cost_cycles == (
             ctl.policy.cost_model.per_thread_cycles
         )
-        assert ctl.warmup_flush is True
 
     def test_tick_interval_validation(self):
         det = StubDetector()
@@ -187,21 +192,23 @@ class TestController:
         logs = []
         for _ in range(2):
             det, ctl = self.make()
-            drive(ctl, det, NEAR, start=0)
-            drive(ctl, det, FAR, start=1_000_000)
+            mapping = list(IDENT)
+            drive(ctl, det, NEAR, 0, mapping)
+            drive(ctl, det, FAR, 1_000_000, mapping)
             logs.append(ctl.decision_digest())
         assert logs[0] == logs[1]
 
     def test_decision_digest_sensitive_to_history(self):
         det, ctl = self.make()
-        drive(ctl, det, NEAR, start=0)
+        mapping = list(IDENT)
+        drive(ctl, det, NEAR, 0, mapping)
         before = ctl.decision_digest()
-        drive(ctl, det, FAR, start=1_000_000)
+        drive(ctl, det, FAR, 1_000_000, mapping)
         assert ctl.decision_digest() != before
 
     def test_summary_reports_decisions(self):
         det, ctl = self.make()
-        drive(ctl, det, NEAR, start=0)
+        drive(ctl, det, NEAR, 0, list(IDENT))
         s = ctl.summary()
         assert s["migrations"] == 0
         assert s["decisions"] == len(ctl.decisions)

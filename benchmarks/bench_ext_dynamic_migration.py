@@ -28,7 +28,6 @@ import json
 import os
 import pathlib
 
-from cluster_common import bench_doc, ledger_append
 from conftest import save_artifact
 
 from repro.core import DecayedCommMatrix, DetectorConfig, SoftwareManagedDetector
@@ -206,7 +205,7 @@ def test_adaptive_vs_static_study(benchmark, out_dir):
     )
     save_artifact(out_dir, "ext_dynamic_migration.txt", text)
 
-    doc = bench_doc("remap", routers=0, shards=0, stats={
+    doc = {
         "config": {
             "num_threads": NUM_THREADS,
             "scale": SCALE,
@@ -219,9 +218,8 @@ def test_adaptive_vs_static_study(benchmark, out_dir):
         "adaptive_wins": sum(
             1 for r in splices if r["adaptive_delta_cycles"] > 0
         ),
-    })
+    }
     RESULT_PATH.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    ledger_append(doc, history=str(REPO_ROOT / "BENCH_HISTORY.jsonl"))
 
     # Acceptance: adaptive beats static on at least one phase-shifting
     # splice, and never loses more than the migration cost it was

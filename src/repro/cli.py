@@ -217,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "obs",
-        help="observability tooling: latency attribution, perf ledger",
+        help="observability tooling: latency attribution",
     )
     obs_sub = p.add_subparsers(dest="obs_command", required=True)
 
@@ -230,31 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "`repro trace` output)")
     q.add_argument("--json", action="store_true",
                    help="emit the attribution document as JSON")
-
-    q = obs_sub.add_parser(
-        "append",
-        help="append bench result documents to the performance ledger",
-    )
-    q.add_argument("docs", nargs="+", metavar="BENCH.json",
-                   help="bench documents to append, in order")
-    q.add_argument("--history", default="BENCH_HISTORY.jsonl",
-                   help="ledger path (default: BENCH_HISTORY.jsonl)")
-
-    q = obs_sub.add_parser(
-        "regress",
-        help="flag candidate bench docs that regressed vs ledger history",
-    )
-    q.add_argument("--history", default="BENCH_HISTORY.jsonl",
-                   help="ledger path (default: BENCH_HISTORY.jsonl)")
-    q.add_argument("--candidate", action="append", required=True,
-                   dest="candidates", metavar="BENCH.json",
-                   help="candidate bench document (repeatable)")
-    q.add_argument("--window", type=int, default=5,
-                   help="ledger entries of the same kind in the baseline")
-    q.add_argument("--tolerance", type=float, default=0.5,
-                   help="relative tolerance band (0.5 = +-50%%)")
-    q.add_argument("--json", action="store_true",
-                   help="emit the regression reports as JSON")
     return parser
 
 
@@ -504,57 +479,21 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
+    # `attribution` is the only obs subcommand.
     import json
 
-    if args.obs_command == "attribution":
-        from repro.obs.attribution import attribute_trace, render_attribution
-        from repro.obs.export import validate_chrome_trace
+    from repro.obs.attribution import attribute_trace, render_attribution
+    from repro.obs.export import validate_chrome_trace
 
-        with open(args.trace, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        validate_chrome_trace(doc)
-        result = attribute_trace(doc)
-        if args.json:
-            print(json.dumps(result, sort_keys=True, separators=(",", ":")))
-        else:
-            print(render_attribution(result))
-        return 0
-
-    if args.obs_command == "append":
-        from repro.obs.ledger import append_entry
-
-        for path in args.docs:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            entry = append_entry(args.history, doc)
-            print(f"appended {path} as {entry['kind']} seq {entry['seq']} "
-                  f"({len(entry['metrics'])} metrics) to {args.history}")
-        return 0
-
-    if args.obs_command == "regress":
-        from repro.obs.ledger import (
-            read_history,
-            regress,
-            render_regress_report,
-        )
-
-        history = read_history(args.history)
-        reports = []
-        for path in args.candidates:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            reports.append(
-                regress(history, doc, window=args.window,
-                        tolerance=args.tolerance)
-            )
-        if args.json:
-            print(json.dumps(reports, sort_keys=True, separators=(",", ":")))
-        else:
-            for report in reports:
-                print(render_regress_report(report))
-        return 0 if all(r["ok"] for r in reports) else 1
-
-    raise AssertionError(f"unhandled obs command {args.obs_command!r}")
+    with open(args.trace, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    validate_chrome_trace(doc)
+    result = attribute_trace(doc)
+    if args.json:
+        print(json.dumps(result, sort_keys=True, separators=(",", ":")))
+    else:
+        print(render_attribution(result))
+    return 0
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:

@@ -14,8 +14,8 @@ Keys are hashed in a distinct namespace (``"key:"`` prefix) from vnode
 labels so a shard name can never collide with a routing key by
 construction.  Everything here is pure and deterministic — two routers
 built with the same membership route identically, which is what lets a
-restarted router (or a bench generator reading ``GET /ring``) agree
-with the live one.
+restarted router (or a smart client reading ``GET /ring``) agree with
+the live one.
 """
 
 from __future__ import annotations

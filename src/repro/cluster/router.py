@@ -48,8 +48,8 @@ online-remap sessions affine under sharding and across ring changes.
 ``GET /metrics`` aggregates every live shard's integer counters under
 their ``repro_service_`` names and appends the router's own
 ``repro_cluster_`` registry (including per-tenant counters);
-``GET /ring`` exposes the membership snapshot smart clients (the bench
-load rig) use to drive shards directly.
+``GET /ring`` exposes the membership snapshot smart clients use to
+drive shards directly.
 """
 
 from __future__ import annotations

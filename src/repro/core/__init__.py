@@ -19,7 +19,7 @@ from repro.core.detection import Detector, DetectorConfig
 from repro.core.sm_detector import SoftwareManagedDetector
 from repro.core.hm_detector import HardwareManagedDetector
 from repro.core.oracle import OracleDetector, oracle_matrix
-from repro.core.history import CommunicationHistory, pattern_drift
+from repro.core.history import pattern_drift
 from repro.core.streaming import DecayedCommMatrix, SlidingWindowCommMatrix
 from repro.core.accuracy import (
     cosine_similarity,
@@ -42,7 +42,6 @@ __all__ = [
     "HardwareManagedDetector",
     "OracleDetector",
     "oracle_matrix",
-    "CommunicationHistory",
     "pattern_drift",
     "DecayedCommMatrix",
     "SlidingWindowCommMatrix",

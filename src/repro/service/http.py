@@ -231,29 +231,32 @@ class MappingServer:
 
     async def _read_request(self, reader: asyncio.StreamReader) -> Optional[_Request]:
         """Parse one request; None on clean EOF, _HttpError on garbage."""
-        line = await reader.readline()
-        if not line:
-            return None
         try:
+            line = await reader.readline()
+            if not line:
+                return None
+            # latin-1 maps every byte, so decoding cannot fail.
             parts = line.decode("latin-1").strip().split()
-        except UnicodeDecodeError as exc:
-            raise _HttpError(400, "undecodable request line") from exc
-        if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-            raise _HttpError(400, f"malformed request line: {line[:80]!r}")
-        method, path, _version = parts
-        headers: Dict[str, str] = {}
-        for _ in range(_MAX_HEADERS):
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n"):
-                break
-            if not raw:
-                return None  # EOF mid-headers: treat as disconnect
-            name, sep, value = raw.decode("latin-1").partition(":")
-            if not sep:
-                raise _HttpError(400, f"malformed header: {raw[:80]!r}")
-            headers[name.strip().lower()] = value.strip()
-        else:
-            raise _HttpError(400, "too many headers")
+            if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+                raise _HttpError(400, f"malformed request line: {line[:80]!r}")
+            method, path, _version = parts
+            headers: Dict[str, str] = {}
+            for _ in range(_MAX_HEADERS):
+                raw = await reader.readline()
+                if raw in (b"\r\n", b"\n"):
+                    break
+                if not raw:
+                    return None  # EOF mid-headers: treat as disconnect
+                name, sep, value = raw.decode("latin-1").partition(":")
+                if not sep:
+                    raise _HttpError(400, f"malformed header: {raw[:80]!r}")
+                headers[name.strip().lower()] = value.strip()
+            else:
+                raise _HttpError(400, "too many headers")
+        except ValueError as exc:
+            # StreamReader.readline raises ValueError for a line longer
+            # than the stream limit (64 KiB by default).
+            raise _HttpError(400, "request line or header line too long") from exc
         if "transfer-encoding" in headers:
             raise _HttpError(400, "chunked transfer encoding is not supported")
         length_raw = headers.get("content-length", "0")

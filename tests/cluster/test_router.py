@@ -1,9 +1,10 @@
 """Router behavior over in-process shards: routing, replication, failover.
 
 Every test boots a real :class:`ClusterRouter` over
-:class:`InProcessShards` (real sockets, ``workers=0`` solves) and calls
+:class:`InProcessShards` (real sockets, ``workers=0`` solves).  Most call
 the router's handlers directly — the HTTP framing above them is covered
-by the cluster smoke and the service HTTP suite.
+by the cluster smoke and the service HTTP suite; the ``GET /ring`` test
+goes through :class:`RouterServer`.
 """
 
 import asyncio
@@ -13,8 +14,14 @@ from contextlib import asynccontextmanager
 import numpy as np
 
 from repro.cluster.quota import DEFAULT_TENANT
-from repro.cluster.router import ClusterRouter, RouterConfig, _map_body_key
+from repro.cluster.router import (
+    ClusterRouter,
+    RouterConfig,
+    RouterServer,
+    _map_body_key,
+)
 from repro.cluster.shards import InProcessShards
+from repro.service.client import AsyncMappingClient
 from repro.util.rng import as_rng
 
 THREADS = 8
@@ -457,6 +464,61 @@ class TestFailover:
                 # The reborn shard received the replayed entry.
                 reborn = router.supervisor.services[solver]
                 assert reborn.metrics.replication_applied_total == 1
+
+        run(scenario())
+
+
+class TestRing:
+    def test_ring_names_each_shard_and_its_state(self):
+        # GET /ring over the router's HTTP front: membership plus each
+        # shard's endpoint, which a client can call directly.
+        async def scenario():
+            async with cluster(
+                shards=2, port=0, restart_dead_shards=False
+            ) as router:
+                server = RouterServer(router)
+                host, port = await server.start()
+                try:
+                    async with AsyncMappingClient(host, port) as client:
+                        body = body_for(PAIR8)
+                        await client.request("POST", "/map", body)
+                        _, headers, hit = await client.request(
+                            "POST", "/map", body
+                        )
+                        assert headers["x-repro-cache"] == "body"
+                        owner = headers["x-repro-shard"]
+
+                        status, _, raw = await client.request("GET", "/ring")
+                        assert status == 200
+                        ring = json.loads(raw)
+                        assert ring["vnodes"] == 64
+                        assert ring["version"] == router.ring.version
+                        assert sorted(ring["shards"]) == ["shard-0", "shard-1"]
+                        for entry in ring["shards"].values():
+                            assert sorted(entry) == ["host", "port", "state"]
+                            assert entry["state"] == "up"
+
+                        # The owner, called at the endpoint /ring names,
+                        # answers the bytes the router kept.
+                        entry = ring["shards"][owner]
+                        async with AsyncMappingClient(
+                            entry["host"], entry["port"]
+                        ) as direct:
+                            _, _, raw = await direct.request("POST", "/map", body)
+                        assert raw == hit
+
+                        # A killed shard reads "down" once a forward has
+                        # found it dead.
+                        await router.supervisor.kill(owner)
+                        status, _, _ = await client.request(
+                            "POST", "/map", respelled(PAIR8)
+                        )
+                        assert status == 200
+                        _, _, raw = await client.request("GET", "/ring")
+                        assert json.loads(raw)["shards"][owner]["state"] == "down"
+                finally:
+                    server.request_shutdown()
+                    await server.serve_until_shutdown()
 
         run(scenario())
 

@@ -1,10 +1,9 @@
-"""Tests for the communication history / drift detection."""
+"""Tests for the pattern-drift metric."""
 
-import numpy as np
 import pytest
 
 from repro.core.commmatrix import CommunicationMatrix
-from repro.core.history import CommunicationHistory, pattern_drift
+from repro.core.history import pattern_drift
 
 
 def matrix_with(pairs, n=4):
@@ -31,86 +30,3 @@ class TestPatternDrift:
 
     def test_empty_vs_populated_is_change(self):
         assert pattern_drift(CommunicationMatrix(4), matrix_with([(0, 1, 5)])) == 1.0
-
-
-class TestHistory:
-    def test_record_and_window_deltas(self):
-        h = CommunicationHistory(4)
-        m = CommunicationMatrix(4)
-        m.increment(0, 1, 10)
-        h.record(m, cycle=100)
-        m.increment(2, 3, 7)
-        h.record(m, cycle=200)
-        assert len(h) == 2
-        w0 = h.window(0)
-        assert w0[0, 1] == 10 and w0[2, 3] == 0
-        w1 = h.window(1)
-        assert w1[0, 1] == 0 and w1[2, 3] == 7
-        assert h.window(-1)[2, 3] == 7  # negative indexing
-
-    def test_snapshots_are_copies(self):
-        h = CommunicationHistory(4)
-        m = CommunicationMatrix(4)
-        h.record(m, 0)
-        m.increment(0, 1, 5)
-        assert h.snapshots[0].cumulative.total == 0
-
-    def test_out_of_order_clock_rejected(self):
-        h = CommunicationHistory(4)
-        h.record(CommunicationMatrix(4), 100)
-        with pytest.raises(ValueError):
-            h.record(CommunicationMatrix(4), 50)
-
-    def test_capacity_evicts_oldest(self):
-        h = CommunicationHistory(4, capacity=2)
-        for c in (1, 2, 3):
-            h.record(CommunicationMatrix(4), c)
-        assert len(h) == 2
-        assert h.snapshots[0].cycle == 2
-
-    def test_window_out_of_range(self):
-        h = CommunicationHistory(4)
-        with pytest.raises(IndexError):
-            h.window(0)
-        h.record(CommunicationMatrix(4), 0)
-        with pytest.raises(IndexError):
-            h.window(1)
-
-    def test_latest_drift(self):
-        h = CommunicationHistory(4)
-        assert h.latest_drift() is None
-        m = CommunicationMatrix(4)
-        m.increment(0, 1, 10)
-        h.record(m, 10)
-        assert h.latest_drift() is None
-        m.increment(0, 1, 10)  # same structure again
-        h.record(m, 20)
-        assert h.latest_drift() == pytest.approx(0.0, abs=1e-9)
-        m.increment(2, 3, 50)  # pattern changes
-        h.record(m, 30)
-        assert h.latest_drift() > 0.5
-
-    def test_drift_series_length(self):
-        h = CommunicationHistory(4)
-        m = CommunicationMatrix(4)
-        for c in range(4):
-            m.increment(0, 1, 1)
-            h.record(m, c)
-        assert len(h.drift_series()) == 3
-
-    def test_thread_count_validated(self):
-        h = CommunicationHistory(4)
-        with pytest.raises(ValueError):
-            h.record(CommunicationMatrix(6), 0)
-
-    def test_detector_reset_guard(self):
-        """A detector reset between snapshots must not yield negative
-        windows."""
-        h = CommunicationHistory(4)
-        m = CommunicationMatrix(4)
-        m.increment(0, 1, 10)
-        h.record(m, 10)
-        h.record(CommunicationMatrix(4), 20)  # reset happened
-        w = h.window(-1)
-        assert w.total == 0
-        w.check_invariants()

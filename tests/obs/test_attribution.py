@@ -1,5 +1,7 @@
 """Latency attribution: self-time exactness, percentiles, clock units."""
 
+import json
+
 from repro.obs.attribution import (
     REPORT_STAGES,
     attribute_requests,
@@ -177,3 +179,24 @@ def self_doc():
             span("queue", 2, parent=1, ts=0.1, dur=0.5),
         ]
     )
+
+
+class TestCli:
+    def test_attribution_renders_stage_table(self, tmp_path, capsys):
+        from repro.cli import main
+
+        meta = {
+            "name": "process_name",
+            "ph": "M",
+            "pid": 1,
+            "tid": 1,
+            "args": {"name": "repro:t"},
+        }
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps(doc([meta, span("request:/map", 1)])))
+        assert main(["obs", "attribution", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert "requests: 1" in out and "total" in out
+        assert main(["obs", "attribution", str(trace), "--json"]) == 0
+        parsed = json.loads(capsys.readouterr().out)
+        assert parsed["p50"]["total_ms"] == 1000.0

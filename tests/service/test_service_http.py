@@ -13,6 +13,8 @@ from contextlib import asynccontextmanager
 import numpy as np
 import pytest
 
+from repro.cluster.router import ClusterRouter, RouterConfig, RouterServer
+from repro.cluster.shards import InProcessShards
 from repro.service import worker
 from repro.service.app import MappingService, ServiceConfig
 from repro.service.client import (
@@ -358,6 +360,75 @@ class TestRouting:
             "repro_service_latency_p99_ms",
         ):
             assert name in metrics, f"{name!r} missing from:\n{metrics}"
+
+
+#: Requests the parser must refuse, as raw bytes.  The two over-long
+#: cases exceed asyncio's 64 KiB StreamReader line limit.
+BAD_FRAMES = {
+    "long-header": (
+        b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n"
+    ),
+    "long-request-line": b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+    "malformed-request-line": b"GARBAGE\r\n\r\n",
+    "101-headers": (
+        b"GET /healthz HTTP/1.1\r\n"
+        + b"".join(b"X-H%d: v\r\n" % i for i in range(101))
+        + b"\r\n"
+    ),
+    "bad-content-length": b"POST /map HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
+    "transfer-encoding": (
+        b"POST /map HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+    ),
+}
+
+
+@asynccontextmanager
+async def routing():
+    """A listening router over one in-process shard, drained on exit."""
+    router = ClusterRouter(
+        RouterConfig(port=0, shards=1), supervisor=InProcessShards(1)
+    )
+    server = RouterServer(router)
+    host, port = await server.start()
+    try:
+        yield router, server, host, port
+    finally:
+        server.request_shutdown()
+        await server.serve_until_shutdown()
+
+
+class TestRawFraming:
+    @pytest.mark.parametrize(
+        "case, front",
+        [(case, "serve") for case in BAD_FRAMES] + [("long-header", "route")],
+    )
+    def test_bad_framing_gets_400_and_close(self, case, front):
+        async def scenario():
+            unhandled = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: unhandled.append(context)
+            )
+            async with (serving() if front == "serve" else routing()) as (
+                app, _srv, host, port
+            ):
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(BAD_FRAMES[case])
+                await writer.drain()
+                raw = await reader.read()
+                writer.close()
+                await writer.wait_closed()
+                errors = app.metrics.http_errors_total
+            return raw, errors, unhandled
+
+        raw, errors, unhandled = run(scenario())
+        head, _, body = raw.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.lower().split(": ", 1) for line in header_lines)
+        assert status_line == "HTTP/1.1 400 Bad Request"
+        assert headers["connection"] == "close"
+        assert json.loads(body)["error"]["type"] == "BadRequest"
+        assert errors == 1
+        assert unhandled == []
 
 
 class TestDeterminismAcrossRestartsAndWorkers:

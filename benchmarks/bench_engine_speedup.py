@@ -17,7 +17,10 @@ two things:
    regression to scalar-equivalent speed.
 
 Runs standalone (``python benchmarks/bench_engine_speedup.py``) or under
-pytest with the rest of the bench suite.
+pytest with the rest of the bench suite.  The tracked
+``benchmarks/out/engine_speedup.txt`` holds only what a re-run
+reproduces (kernel, scale, accesses and the compared counters); the
+timings go to stdout.
 """
 
 from __future__ import annotations
@@ -35,21 +38,34 @@ def _speedup_floor() -> float:
     return float(os.environ.get("REPRO_BENCH_SPEEDUP_FLOOR", "2.0"))
 
 
-def run_speedup_smoke() -> dict:
+def run_speedup_smoke():
     """Run both engines; the pipeline asserts identity + floor."""
-    run = run_bench_spec("engine_speedup", params={
+    return run_bench_spec("engine_speedup", params={
         "scale": _bench_scale(), "speedup_floor": _speedup_floor(),
     })
-    return run.results
+
+
+def invariant_text(run) -> str:
+    """What a re-run reproduces: kernel, scale, accesses, counter rows."""
+    stats = run.results
+    head = [f"{k}: {stats[k]}" for k in ("kernel", "scale", "accesses")]
+    return "\n".join(head + list(run.rows))
+
+
+def timing_text(run) -> str:
+    """The wall-clock lines, which differ on every run."""
+    stats = run.results
+    keys = ("scalar_seconds", "batched_seconds", "speedup")
+    return "\n".join(f"{k}: {stats[k]}" for k in keys)
 
 
 def test_engine_speedup_smoke(out_dir):
-    stats = run_speedup_smoke()
-    text = "\n".join(f"{k}: {v}" for k, v in stats.items())
-    save_artifact(out_dir, "engine_speedup.txt", text)
+    run = run_speedup_smoke()
+    print(timing_text(run))
+    save_artifact(out_dir, "engine_speedup.txt", invariant_text(run))
 
 
 if __name__ == "__main__":
-    stats = run_speedup_smoke()
-    for k, v in stats.items():
-        print(f"{k}: {v}")
+    run = run_speedup_smoke()
+    print(invariant_text(run))
+    print(timing_text(run))

@@ -10,13 +10,14 @@ Request path for ``POST /map``:
 1. **Tenant admission** — token bucket per ``X-Tenant`` header
    (:mod:`repro.cluster.quota`); exhaustion is ``429`` + ``Retry-After``
    before any routing work is spent.
-2. **Canonical routing key** — the router canonicalizes the matrix with
-   the *same* :mod:`repro.service.canonical` code the shards use, so
-   permutation-equivalent requests hash to the same ring position and
-   land on the shard whose caches are already warm.  A bounded body→key
-   cache makes repeats a dict lookup; unparsable bodies fall back to a
-   body-hash key (the shard answers the 400 — validation stays
-   single-sourced).
+2. **Canonical routing key** — the router parses the body with the
+   shard's own :func:`~repro.service.app.parse_map_body` and
+   canonicalizes it with the *same* :mod:`repro.service.canonical`
+   code, so permutation-equivalent requests hash to the same ring
+   position and land on the shard whose caches are already warm.  A
+   bounded body→key cache makes repeats a dict lookup; a body the
+   parser rejects falls back to a body-hash key (the shard answers the
+   400 — validation stays single-sourced).
 3. **Router answer** — the first ``200`` a shard gives for a body is kept
    in that body's route-cache entry, and an exact repeat of the bytes is
    answered from it (``X-Repro-Cache: body``, ``X-Repro-Shard`` naming
@@ -59,10 +60,8 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
-
-import numpy as np
 
 from repro.cluster.quota import DEFAULT_TENANT, TenantQuotas
 from repro.cluster.replica import ReplicaEntry, ReplicaStore, render_push
@@ -75,17 +74,15 @@ from repro.faults.injector import InjectedCrash, get_injector
 from repro.faults.plan import SITE_CLUSTER_FORWARD
 from repro.obs.context import TRACE_HEADER, TraceContext
 from repro.obs.export import chrome_trace, render_chrome_json
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, Row, parse_exposition
 from repro.obs.stitch import stitch_cluster_trace
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.service.app import Response, _error_body
+from repro.service.app import BadRequest, Response, _error_body, parse_map_body
 from repro.service.cache import LRUTTLCache
-from repro.service.canonical import canonical_form, canonical_key, normalize_matrix
+from repro.service.canonical import canonical_form, canonical_key
 from repro.service.client import AsyncMappingClient
 from repro.service.http import MappingServer, _Request
-from repro.service.metrics import _MetricAttr
 from repro.util.rng import derive_seed
-from repro.util.validation import ValidationError
 
 _JSON_SEPARATORS = (",", ":")
 
@@ -151,129 +148,50 @@ class RouterConfig:
     trace_step_clock: bool = False
 
 
-#: ``repro_cluster_`` families in render order.
-_ROUTER_ROWS: Tuple[Tuple[str, str], ...] = (
-    ("requests_total", "counter"),
-    ("routed_total", "counter"),
-    ("reroutes_total", "counter"),
-    ("unroutable_total", "counter"),
-    ("quota_throttled_total", "counter"),
-    ("shard_down_total", "counter"),
-    ("shard_kills_total", "counter"),
-    ("shard_restarts_total", "counter"),
-    ("restart_failures_total", "counter"),
-    ("replication_publish_total", "counter"),
-    ("replication_push_total", "counter"),
-    ("replication_push_failures_total", "counter"),
-    ("replication_replay_total", "counter"),
-    ("faults_injected_total", "counter"),
-    ("http_errors_total", "counter"),
-    ("connection_resets_total", "counter"),
-    ("shards_up", "gauge"),
-    ("inflight", "gauge"),
-    # Tracing counters (PR 10): spans recorded / sampled out by the
-    # router's own tracer plus its per-stage breakdown.  Appended after
-    # the historical rows so pinned row prefixes are unchanged.
-    ("trace_spans_total", "counter"),
-    ("trace_sampled_out_total", "counter"),
-    ("trace_stage_route_total", "counter"),
-    ("trace_stage_ring_lookup_total", "counter"),
-    ("trace_stage_forward_total", "counter"),
-    ("trace_stage_replicate_total", "counter"),
+def _stage_count(stage: str) -> Callable[["ClusterRouter"], int]:
+    return lambda router: router.tracer.stage_counts.get(stage, 0)
+
+
+#: The ``repro_cluster_`` rows of ``GET /metrics``, in render order.  A
+#: row with a source is read from the router at render time; the rest
+#: are counted by the routing code and the HTTP layer.  The per-tenant
+#: families render after them, in first-use order.
+_METRIC_ROWS: Tuple[Row, ...] = (
+    ("requests_total", "counter", None),
+    ("routed_total", "counter", None),
+    ("reroutes_total", "counter", None),
+    ("unroutable_total", "counter", None),
+    ("quota_throttled_total", "counter", None),
+    ("shard_down_total", "counter", None),
+    ("shard_kills_total", "counter", None),
+    ("shard_restarts_total", "counter", None),
+    ("restart_failures_total", "counter", None),
+    ("replication_publish_total", "counter", None),
+    ("replication_push_total", "counter", None),
+    ("replication_push_failures_total", "counter", None),
+    ("replication_replay_total", "counter", None),
+    ("faults_injected_total", "counter", lambda _r: get_injector().fired_total()),
+    ("http_errors_total", "counter", None),
+    ("connection_resets_total", "counter", None),
+    ("shards_up", "gauge", lambda r: len(r._endpoints) - len(r._down)),
+    ("inflight", "gauge", None),
+    ("trace_spans_total", "counter", lambda r: r.tracer.started_total),
+    ("trace_sampled_out_total", "counter", lambda r: r.tracer.sampled_out_total),
+    ("trace_stage_route_total", "counter", _stage_count("route")),
+    ("trace_stage_ring_lookup_total", "counter", _stage_count("ring.lookup")),
+    ("trace_stage_forward_total", "counter", _stage_count("forward")),
+    ("trace_stage_replicate_total", "counter", _stage_count("replicate")),
     # /map repeats answered at the router without a forward.
-    ("body_cache_hits_total", "counter"),
+    ("body_cache_hits_total", "counter", None),
+    # Routed-request latency, observed by the HTTP layer.
+    ("latency_ms", "histogram", None),
+    ("latency_p50_ms", "gauge", lambda r: r.metrics.quantile("latency_ms", 0.50)),
+    ("latency_p99_ms", "gauge", lambda r: r.metrics.quantile("latency_ms", 0.99)),
 )
 
 #: Distinct tenant label values tracked before folding into ``~other``
 #: (label-cardinality guard on the exposition).
 _MAX_TENANT_LABELS = 256
-
-
-class RouterMetrics:
-    """Router counter set (``repro_cluster_`` prefix, per-tenant labels)."""
-
-    requests_total = _MetricAttr("requests_total", "counter")
-    routed_total = _MetricAttr("routed_total", "counter")
-    reroutes_total = _MetricAttr("reroutes_total", "counter")
-    unroutable_total = _MetricAttr("unroutable_total", "counter")
-    quota_throttled_total = _MetricAttr("quota_throttled_total", "counter")
-    shard_down_total = _MetricAttr("shard_down_total", "counter")
-    shard_kills_total = _MetricAttr("shard_kills_total", "counter")
-    shard_restarts_total = _MetricAttr("shard_restarts_total", "counter")
-    restart_failures_total = _MetricAttr("restart_failures_total", "counter")
-    replication_publish_total = _MetricAttr("replication_publish_total", "counter")
-    replication_push_total = _MetricAttr("replication_push_total", "counter")
-    replication_push_failures_total = _MetricAttr(
-        "replication_push_failures_total", "counter"
-    )
-    replication_replay_total = _MetricAttr("replication_replay_total", "counter")
-    faults_injected_total = _MetricAttr("faults_injected_total", "counter")
-    http_errors_total = _MetricAttr("http_errors_total", "counter")
-    connection_resets_total = _MetricAttr("connection_resets_total", "counter")
-    shards_up = _MetricAttr("shards_up", "gauge")
-    inflight = _MetricAttr("inflight", "gauge")
-    trace_spans_total = _MetricAttr("trace_spans_total", "counter")
-    trace_sampled_out_total = _MetricAttr("trace_sampled_out_total", "counter")
-    trace_stage_route_total = _MetricAttr("trace_stage_route_total", "counter")
-    trace_stage_ring_lookup_total = _MetricAttr(
-        "trace_stage_ring_lookup_total", "counter"
-    )
-    trace_stage_forward_total = _MetricAttr("trace_stage_forward_total", "counter")
-    trace_stage_replicate_total = _MetricAttr(
-        "trace_stage_replicate_total", "counter"
-    )
-    body_cache_hits_total = _MetricAttr("body_cache_hits_total", "counter")
-
-    def __init__(self, latency_window: int = 2048):
-        self.registry = MetricsRegistry(prefix="repro_cluster_")
-        self._series = {
-            name: (
-                self.registry.counter(name)
-                if kind == "counter"
-                else self.registry.gauge(name)
-            )
-            for name, kind in _ROUTER_ROWS
-        }
-        self._latency_ms = self.registry.histogram(
-            "latency_ms", window=latency_window
-        )
-        self.registry.callback_gauge(
-            "latency_p50_ms", lambda: self._latency_ms.quantile(0.50, default=0.0)
-        )
-        self.registry.callback_gauge(
-            "latency_p99_ms", lambda: self._latency_ms.quantile(0.99, default=0.0)
-        )
-        self._tenant_labels: Set[str] = set()
-
-    def observe_latency_ms(self, value: float) -> None:
-        """Record one routed-request latency."""
-        self._latency_ms.observe(value)
-
-    def _tenant_label(self, tenant: str) -> str:
-        if tenant in self._tenant_labels:
-            return tenant
-        if len(self._tenant_labels) >= _MAX_TENANT_LABELS:
-            return "~other"
-        self._tenant_labels.add(tenant)
-        return tenant
-
-    def tenant_request(self, tenant: str) -> None:
-        """Count one admission attempt for ``tenant``."""
-        label = self._tenant_label(tenant)
-        self.registry.counter(
-            "tenant_requests_total", labels={"tenant": label}
-        ).inc()
-
-    def tenant_throttled(self, tenant: str) -> None:
-        """Count one quota rejection for ``tenant``."""
-        label = self._tenant_label(tenant)
-        self.registry.counter(
-            "tenant_throttled_total", labels={"tenant": label}
-        ).inc()
-
-    def render(self) -> str:
-        """The router's own exposition text."""
-        return self.registry.render()
 
 
 @dataclass(frozen=True)
@@ -339,7 +257,10 @@ class ClusterRouter:
         self.config = config or RouterConfig()
         self.clock = clock
         cfg = self.config
-        self.metrics = RouterMetrics()
+        #: ``GET /metrics`` router rows: :data:`_METRIC_ROWS` plus the
+        #: per-tenant families.
+        self.metrics = MetricsRegistry("repro_cluster_").declare(_METRIC_ROWS, self)
+        self._tenant_labels: Set[str] = set()
         #: Router-side span ring; ``trace_step_clock`` swaps the injected
         #: monotonic clock for the deterministic step counter so two runs
         #: of one plan export byte-identical stitched traces.
@@ -394,7 +315,6 @@ class ClusterRouter:
         self._endpoints = await self.supervisor.start_all()
         for shard_id in sorted(self._endpoints):
             self.ring.add(shard_id)
-        self.metrics.shards_up = len(self._endpoints)
 
     async def aclose(self) -> None:
         """Cancel restarts, close client pools, stop every shard."""
@@ -449,8 +369,7 @@ class ClusterRouter:
         if shard_id in self._down:
             return
         self._down.add(shard_id)
-        self.metrics.shard_down_total += 1
-        self.metrics.shards_up = len(self._endpoints) - len(self._down)
+        self.metrics.inc("shard_down_total")
         pool = self._pools.pop(shard_id, None)
         if pool is not None:
             await pool.close()
@@ -470,7 +389,7 @@ class ClusterRouter:
             try:
                 endpoint = await self.supervisor.restart(shard_id)
             except (OSError, RuntimeError, asyncio.CancelledError):
-                self.metrics.restart_failures_total += 1
+                self.metrics.inc("restart_failures_total")
                 return
             self._endpoints[shard_id] = endpoint
             entries = self.replicas.entries()
@@ -482,12 +401,11 @@ class ClusterRouter:
                 except _SHARD_DEAD_ERRORS + (OSError,):
                     status = 0
                 if status == 200:
-                    self.metrics.replication_replay_total += len(entries)
+                    self.metrics.inc("replication_replay_total", len(entries))
                 else:
-                    self.metrics.replication_push_failures_total += 1
+                    self.metrics.inc("replication_push_failures_total")
             self._down.discard(shard_id)
-            self.metrics.shard_restarts_total += 1
-            self.metrics.shards_up = len(self._endpoints) - len(self._down)
+            self.metrics.inc("shard_restarts_total")
         finally:
             self._restarting.discard(shard_id)
 
@@ -510,52 +428,24 @@ class ClusterRouter:
         return info
 
     def _canonicalize(self, body: bytes) -> Optional[_RouteInfo]:
-        """Mirror the shard's parse→normalize→canonicalize; None on any doubt.
+        """The shard's own parse, then its canonical key; None for a 400 body.
 
-        Uses the shard's own :func:`~repro.service.canonical.normalize_matrix`
-        and :mod:`repro.service.canonical` code path, so the router's key
-        always equals the key the shard will answer with — also for
-        asymmetric bodies, a non-zero diagonal or signed zeros.  Anything
-        that fails validation routes by body hash instead and lets the
-        shard produce the authoritative 400.
+        :func:`~repro.service.app.parse_map_body` and the shard's
+        :mod:`repro.service.canonical` code give the key the shard will
+        answer with — also for asymmetric bodies, a non-zero diagonal or
+        signed zeros.  A body the shard rejects routes by its hash, and
+        the shard produces the authoritative 400.
         """
         cfg = self.config
         try:
-            doc = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        if not isinstance(doc, dict) or "matrix" not in doc:
-            return None
-        topo = doc.get("topology", None)
-        if topo is None:
-            spec = (2, 2, 2)
-        elif isinstance(topo, dict):
-            values = []
-            for fld in ("cores_per_l2", "l2_per_chip", "chips"):
-                v = topo.get(fld, 2)
-                if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                    return None
-                values.append(v)
-            spec = (values[0], values[1], values[2])
-        else:
-            return None
-        if spec[0] * spec[1] * spec[2] > cfg.max_cores:
-            return None
-        try:
-            raw = np.asarray(doc["matrix"], dtype=np.float64)
-        except (TypeError, ValueError):
-            return None
-        if raw.ndim != 2 or raw.shape[0] != raw.shape[1] or raw.shape[0] < 1:
-            return None
-        n = int(raw.shape[0])
-        if n > cfg.max_threads:
-            return None
-        try:
-            matrix = normalize_matrix(raw)
-        except ValidationError:
+            matrix, spec = parse_map_body(
+                body, cfg.max_threads, cfg.max_cores
+            )
+        except BadRequest:
             return None
         canon, _perm = canonical_form(matrix)
         key = canonical_key(canon, spec)
+        n = int(matrix.shape[0])
         return _RouteInfo(key=key, canon_hex=canon.tobytes().hex(), n=n, spec=spec)
 
     def _keep_answer(
@@ -614,11 +504,11 @@ class ClusterRouter:
                 continue
             attempt += 1
             if attempt > 1:
-                self.metrics.reroutes_total += 1
+                self.metrics.inc("reroutes_total")
             try:
                 await injector.afire(SITE_CLUSTER_FORWARD)
             except InjectedCrash:
-                self.metrics.shard_kills_total += 1
+                self.metrics.inc("shard_kills_total")
                 await self._shard_died(shard_id, kill=True)
                 continue
             span = tracer.begin(
@@ -643,21 +533,30 @@ class ClusterRouter:
                 await self._shard_died(shard_id, kill=False)
                 continue
             tracer.end(span, args={"status": status})
-            self.metrics.routed_total += 1
+            self.metrics.inc("routed_total")
             return status, headers, raw, shard_id
-        self.metrics.unroutable_total += 1
+        self.metrics.inc("unroutable_total")
         return None, {}, b"", None
 
     # -- request handling --------------------------------------------------------
 
+    def _count_tenant(self, family: str, tenant: str) -> None:
+        """Count one event in a per-tenant family (label values capped)."""
+        if tenant not in self._tenant_labels:
+            if len(self._tenant_labels) >= _MAX_TENANT_LABELS:
+                tenant = "~other"
+            else:
+                self._tenant_labels.add(tenant)
+        self.metrics.counter(family, labels={"tenant": tenant}).inc()
+
     def _admit(self, tenant: str) -> Optional[Response]:
         """Quota gate: None when admitted, else the 429 response."""
-        self.metrics.tenant_request(tenant)
+        self._count_tenant("tenant_requests_total", tenant)
         allowed, retry_after = self.quotas.admit(tenant)
         if allowed:
             return None
-        self.metrics.quota_throttled_total += 1
-        self.metrics.tenant_throttled(tenant)
+        self.metrics.inc("quota_throttled_total")
+        self._count_tenant("tenant_throttled_total", tenant)
         headers = {"Retry-After": str(max(1, math.ceil(retry_after)))}
         return 429, headers, _error_body(
             "QuotaExceeded",
@@ -703,7 +602,7 @@ class ClusterRouter:
             route = self._map_route_info(body, body_key)
             tracer.end(lspan, args={"key_kind": route.key.partition(":")[0]})
             if route.answer is not None:
-                self.metrics.body_cache_hits_total += 1
+                self.metrics.inc("body_cache_hits_total")
                 end_args.update(status=200, cache="body")
                 return 200, {
                     "X-Repro-Cache": "body",
@@ -802,7 +701,7 @@ class ClusterRouter:
         )
         if not self.replicas.put(entry):
             return  # already cluster-known: nothing new to fan out
-        self.metrics.replication_publish_total += 1
+        self.metrics.inc("replication_publish_total")
         siblings = [
             s for s in self.ring.shards if s != solver and s not in self._down
         ]
@@ -820,12 +719,12 @@ class ClusterRouter:
                     sibling, "POST", "/cache/push", push_body
                 )
             except _SHARD_DEAD_ERRORS:
-                self.metrics.replication_push_failures_total += 1
+                self.metrics.inc("replication_push_failures_total")
                 continue
             if status == 200:
-                self.metrics.replication_push_total += 1
+                self.metrics.inc("replication_push_total")
             else:
-                self.metrics.replication_push_failures_total += 1
+                self.metrics.inc("replication_push_failures_total")
 
     # -- introspection endpoints -------------------------------------------------
 
@@ -885,17 +784,6 @@ class ClusterRouter:
         endpoints).  The router's ``repro_cluster_`` registry — with the
         per-tenant series — renders after it.
         """
-        self.metrics.shards_up = len(self._endpoints) - len(self._down)
-        self.metrics.faults_injected_total = get_injector().fired_total()
-        tracer = self.tracer
-        stages = tracer.stage_counts
-        self.metrics.trace_spans_total = tracer.started_total
-        self.metrics.trace_sampled_out_total = tracer.sampled_out_total
-        self.metrics.trace_stage_route_total = stages.get("route", 0)
-        self.metrics.trace_stage_ring_lookup_total = stages.get("ring.lookup", 0)
-        self.metrics.trace_stage_forward_total = stages.get("forward", 0)
-        self.metrics.trace_stage_replicate_total = stages.get("replicate", 0)
-        order: List[str] = []
         kinds: Dict[str, str] = {}
         sums: Dict[str, int] = {}
         scraped = 0
@@ -911,12 +799,19 @@ class ClusterRouter:
                 continue
             if status != 200:
                 continue
+            try:
+                rows = parse_exposition(raw.decode("utf-8"))
+            except ValueError:
+                continue
             scraped += 1
-            self._fold_exposition(raw.decode("utf-8"), order, kinds, sums)
+            for name, (kind, value) in rows.items():
+                if "{" in name or not isinstance(value, int):
+                    continue  # labeled and float rows are shard-local
+                kinds.setdefault(name, kind)
+                sums[name] = sums.get(name, 0) + value
         lines = [f"# aggregated from {scraped} shard(s)"]
-        for name in order:
-            lines.append(f"# TYPE {name} {kinds[name]}")
-            lines.append(f"{name} {sums[name]}")
+        for name, total in sums.items():
+            lines += (f"# TYPE {name} {kinds[name]}", f"{name} {total}")
         text = "\n".join(lines) + "\n" + self.metrics.render()
         return 200, {"Content-Type": "text/plain; charset=utf-8"}, text.encode(
             "utf-8"
@@ -953,36 +848,6 @@ class ClusterRouter:
         merged = stitch_cluster_trace(router_doc, shard_docs)
         body = render_chrome_json(merged).encode("utf-8")
         return 200, {"Content-Type": "application/json; charset=utf-8"}, body
-
-    @staticmethod
-    def _fold_exposition(
-        text: str,
-        order: List[str],
-        kinds: Dict[str, str],
-        sums: Dict[str, int],
-    ) -> None:
-        """Accumulate one shard's int rows into the aggregation state."""
-        pending_kind: Dict[str, str] = {}
-        for line in text.splitlines():
-            if line.startswith("# TYPE "):
-                parts = line.split()
-                if len(parts) == 4:
-                    pending_kind[parts[2]] = parts[3]
-                continue
-            if not line or line.startswith("#"):
-                continue
-            name, _, value_text = line.partition(" ")
-            if "{" in name:
-                continue  # labeled series are shard-local detail
-            try:
-                value = int(value_text)
-            except ValueError:
-                continue  # float gauges do not sum meaningfully
-            if name not in kinds:
-                order.append(name)
-                kinds[name] = pending_kind.get(name, "counter")
-                sums[name] = 0
-            sums[name] += value
 
 
 class RouterServer(MappingServer):

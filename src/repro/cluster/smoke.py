@@ -38,9 +38,10 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.faults.plan import SITE_CLUSTER_FORWARD, FaultEvent, FaultPlan
+from repro.obs.metrics import parse_exposition
 from repro.service.client import AsyncMappingClient
 from repro.service.smoke import _SMOKE_MATRIX
 
@@ -78,26 +79,14 @@ def _router_env() -> dict:
     return env
 
 
-def _counters(text: str) -> Dict[str, int]:
-    """Integer ``repro_cluster_*`` rows from a /metrics exposition."""
-    out: Dict[str, int] = {}
-    for line in text.splitlines():
-        if not line.startswith("repro_cluster_") or "{" in line:
-            continue
-        name, _, value = line.partition(" ")
-        try:
-            out[name] = int(value)
-        except ValueError:
-            continue
-    return out
-
-
-async def _metrics(client: AsyncMappingClient) -> Dict[str, int]:
+async def _metrics(client: AsyncMappingClient) -> Dict[str, Any]:
+    """Every row of the router's /metrics exposition, by series name."""
     status, _, raw = await asyncio.wait_for(
         client.request("GET", "/metrics"), timeout=30
     )
     assert status == 200, status
-    return _counters(raw.decode("utf-8"))
+    rows = parse_exposition(raw.decode("utf-8"))
+    return {series: value for series, (_kind, value) in rows.items()}
 
 
 async def _exercise(port: int) -> None:

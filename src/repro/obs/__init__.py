@@ -18,7 +18,8 @@ instrumentation instead of ad-hoc counters:
   schema validator used by ``make trace-smoke``.
 * :mod:`repro.obs.metrics` — the unified :class:`Counter` / ``Gauge`` /
   ``Histogram`` registry that the simulator, experiment runner, faults
-  layer and mapping service all publish into.
+  layer, mapping service and cluster router all publish into, and the
+  one parser of the text it renders.
 
 Disabled tracing is a near-free no-op: every hook reaches the shared
 :class:`~repro.obs.trace.NullTracer`, whose methods are constant-time

@@ -1,26 +1,32 @@
 """Unified metrics registry: counters, gauges, histograms, one renderer.
 
-Replaces the hand-rolled per-subsystem metric rendering with a single
-registry that the simulator, experiment runner, faults layer, and
-mapping service all publish into.  Invariants:
+The one metrics surface of the repository: the simulator, experiment
+runner, faults layer, mapping service and cluster router all publish
+into a :class:`MetricsRegistry`, and :func:`parse_exposition` is the one
+reader of the text it renders.  Invariants:
 
 * **Int counters** (RPL005) — :class:`Counter` rejects non-integral
-  values; floats belong in gauges/histograms.
+  values and a counter row must render an int; floats belong in
+  gauges/histograms.
 * **No clocks** — the registry stores values only; anything time-shaped
   is observed by the caller with *its* injected clock and pushed in.
 * **Deterministic rendering** — families render in registration order,
   series in creation order, ints bare and floats as ``%.6f``, so two
   runs with identical counter values produce byte-identical exposition
-  text (the PR-4 chaos harness depends on this).
+  text (the chaos harness depends on this).
 
 :func:`global_registry` is the process-wide "one source of truth" that
-``bench_report.py`` snapshots; the service keeps its own registry (one
-per :class:`~repro.service.app.MappingService`) so concurrent service
-instances in tests do not share counters.
+``bench_report.py`` snapshots.  The service and the router each own a
+registry whose label-free rows are declared once, in render order, with
+:meth:`MetricsRegistry.declare`; request code updates those rows by
+name (:meth:`~MetricsRegistry.inc`, :meth:`~MetricsRegistry.observe`),
+and a row kept elsewhere (a batcher count, a tracer count) is a
+*source* read at render time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -28,6 +34,11 @@ from collections import deque
 
 #: Label set: sorted tuple of (key, value) pairs.
 Labels = Tuple[Tuple[str, str], ...]
+
+#: One declared row: ``(name, kind, source)``.  ``kind`` is ``counter``,
+#: ``gauge`` or ``histogram``; ``source`` is None for a row the owner
+#: updates, else ``source(owner)`` computes the value at render time.
+Row = Tuple[str, str, Optional[Callable[[Any], Any]]]
 
 
 def nearest_rank_index(q: float, n: int) -> int:
@@ -95,6 +106,10 @@ class Gauge:
         """Overwrite the gauge."""
         self._value = value
 
+    def inc(self, amount: Any = 1) -> None:
+        """Add ``amount`` (negative to decrease)."""
+        self._value += amount
+
 
 class CallbackGauge:
     """Gauge whose value is computed on read (derived metrics)."""
@@ -109,6 +124,12 @@ class CallbackGauge:
     def value(self) -> Any:
         """Evaluate the callback."""
         return self._fn()
+
+
+class CallbackCounter(CallbackGauge):
+    """Int count kept by another object, read on render (never assigned)."""
+
+    kind = "counter"
 
 
 class Histogram:
@@ -148,8 +169,19 @@ class Histogram:
         return ordered[nearest_rank_index(q, len(ordered))]
 
 
+_KINDS: Dict[str, Callable[[str], Any]] = {
+    "counter": Counter,
+    "gauge": Gauge,
+    "histogram": Histogram,
+}
+
+
 class MetricsRegistry:
-    """Named metric families with deterministic rendering."""
+    """Named metric families with deterministic rendering.
+
+    Rows declared with :meth:`declare` are updated and read by name; a
+    name never declared raises :class:`KeyError`.
+    """
 
     def __init__(self, prefix: str = ""):
         #: Prepended to every family name in :meth:`render`.
@@ -157,6 +189,45 @@ class MetricsRegistry:
         self._order: List[str] = []
         self._kinds: Dict[str, str] = {}
         self._series: Dict[str, "Dict[Labels, Any]"] = {}
+        #: Declared label-free rows by name (see :meth:`declare`).
+        self._rows: Dict[str, Any] = {}
+
+    def declare(self, rows: Sequence[Row], owner: Any = None) -> "MetricsRegistry":
+        """Declare label-free rows, in render order; returns ``self``.
+
+        A row without a source starts at zero and changes only through
+        :meth:`inc` and :meth:`observe`; a row with one is computed as
+        ``source(owner)`` whenever it is read.
+        """
+        for name, kind, source in rows:
+            if kind not in _KINDS:
+                raise ValueError(f"metric {name!r} has unknown kind {kind!r}")
+            if name in self._rows:
+                raise ValueError(f"metric {name!r} is already declared")
+            family = self._family(name, kind)
+            if source is None:
+                metric = _KINDS[kind](name)
+            else:
+                cls = CallbackCounter if kind == "counter" else CallbackGauge
+                metric = cls(name, functools.partial(source, owner))
+            family[()] = self._rows[name] = metric
+        return self
+
+    def inc(self, name: str, amount: Any = 1) -> None:
+        """Add ``amount`` to the declared counter or gauge ``name``."""
+        self._rows[name].inc(amount)
+
+    def value(self, name: str) -> Any:
+        """Current value of the declared row ``name`` (a histogram's count)."""
+        return self._rows[name].value
+
+    def observe(self, name: str, value: float) -> None:
+        """Record one observation into the declared histogram ``name``."""
+        self._rows[name].observe(value)
+
+    def quantile(self, name: str, q: float) -> float:
+        """Nearest-rank quantile of the declared histogram ``name`` (0.0 if empty)."""
+        return self._rows[name].quantile(q, default=0.0)
 
     def _family(self, name: str, kind: str) -> Dict[Labels, Any]:
         known = self._kinds.get(name)
@@ -216,16 +287,13 @@ class MetricsRegistry:
             metric = family[key] = Histogram(name, window=window)
         return metric
 
-    def families(self) -> Sequence[str]:
-        """Family names in registration order."""
-        return tuple(self._order)
-
     def render(self) -> str:
         """Prometheus-style exposition text.
 
         Histograms are skipped (their quantiles are surfaced as derived
-        gauges by the owner); ints render bare, floats as ``%.6f`` —
-        the exact pre-registry ``ServiceMetrics.render`` format.
+        gauges by the owner); ints render bare, floats as ``%.6f``.  A
+        counter row that reads a non-int is an error, as is any
+        non-numeric value.  :func:`parse_exposition` reads it back.
         """
         lines: List[str] = []
         for name in self._order:
@@ -236,9 +304,13 @@ class MetricsRegistry:
             lines.append(f"# TYPE {full} {kind}")
             for key, metric in self._series[name].items():
                 value = metric.value
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                if (
+                    isinstance(value, bool)
+                    or not isinstance(value, (int, float))
+                    or (kind == "counter" and not isinstance(value, int))
+                ):
                     raise TypeError(
-                        f"metric {name!r} rendered a non-numeric value {value!r}"
+                        f"{kind} metric {name!r} cannot render value {value!r}"
                     )
                 text = str(value) if isinstance(value, int) else f"{value:.6f}"
                 if key:
@@ -247,6 +319,37 @@ class MetricsRegistry:
                 else:
                     lines.append(f"{full} {text}")
         return "\n".join(lines) + "\n"
+
+
+def parse_exposition(text: str) -> Dict[str, Tuple[str, Any]]:
+    """Read :meth:`MetricsRegistry.render` text back: ``{series: (kind, value)}``.
+
+    ``series`` is the row as rendered before its value, label text
+    included (``name`` or ``name{k="v"}``), in exposition order.  A value
+    rendered bare parses as an int, any other as a float; ``kind`` comes
+    from the family's ``# TYPE`` line (``untyped`` without one).  Other
+    comment lines and blank lines are skipped; a row without a numeric
+    value raises :class:`ValueError`.
+    """
+    kinds: Dict[str, str] = {}
+    rows: Dict[str, Tuple[str, Any]] = {}
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            parts = line.split()
+            if len(parts) == 4:
+                kinds[parts[2]] = parts[3]
+            continue
+        if not line or line.startswith("#"):
+            continue
+        series, _, value_text = line.rpartition(" ")
+        if not series:
+            raise ValueError(f"exposition row without a value: {line!r}")
+        try:
+            value: Any = int(value_text)
+        except ValueError:
+            value = float(value_text)
+        rows[series] = (kinds.get(series.partition("{")[0], "untyped"), value)
+    return rows
 
 
 _global: Optional[MetricsRegistry] = None

@@ -61,7 +61,6 @@ import numpy as np
 from repro.core.commmatrix import CommunicationMatrix
 from repro.core.history import pattern_drift
 from repro.faults.injector import InjectedCrash, get_injector
-from repro.machine.topology import Topology
 from repro.mapping.online import OnlineRemapPolicy
 from repro.mapping.quality import mapping_quality
 from repro.service import worker
@@ -76,6 +75,7 @@ from repro.service.batcher import (
 )
 from repro.obs.context import TraceContext, context_from_env
 from repro.obs.export import chrome_trace, render_chrome_json
+from repro.obs.metrics import MetricsRegistry, Row
 from repro.obs.trace import NULL_TRACER, Tracer, get_tracer
 from repro.service.cache import LRUTTLCache
 from repro.service.canonical import (
@@ -86,7 +86,6 @@ from repro.service.canonical import (
     unpack_canonical,
     unpermute,
 )
-from repro.service.metrics import ServiceMetrics
 from repro.util.validation import ValidationError
 
 #: HTTP response triple: status, extra headers, body bytes.
@@ -100,6 +99,71 @@ _JSON_SEPARATORS = (",", ":")
 #: about what the loop already spends canonicalizing an n = 64 matrix
 #: (1.6 ms), so loop-side work stays bounded and hits barely notice it.
 INLINE_MAX_THREADS = 16
+
+
+def _stage_count(stage: str) -> Callable[["MappingService"], int]:
+    return lambda svc: svc.tracer.stage_counts.get(stage, 0)
+
+
+def _cache_hit_rate(svc: "MappingService") -> float:
+    """Fraction of mapping requests answered without a fresh solve."""
+    m = svc.metrics
+    served = m.value("body_cache_hits_total") + m.value("solve_cache_hits_total")
+    total = served + m.value("solve_cache_misses_total")
+    return served / total if total else 0.0
+
+
+#: The ``repro_service_`` rows of ``GET /metrics``, in render order.  A
+#: row with a source is read from the service at render time; the rest
+#: are counted by the request path and the HTTP layer.
+_METRIC_ROWS: Tuple[Row, ...] = (
+    ("requests_total", "counter", None),
+    ("mappings_total", "counter", None),
+    ("body_cache_hits_total", "counter", None),
+    ("solve_cache_hits_total", "counter", None),
+    ("solve_cache_misses_total", "counter", None),
+    # Pool items and batches: solves / batches is items per pool batch.
+    ("solves_total", "counter", lambda svc: svc._batcher.items_dispatched),
+    ("batches_total", "counter", lambda svc: svc._batcher.batches_dispatched),
+    ("coalesced_total", "counter", lambda svc: svc._batcher.coalesced),
+    ("rejected_total", "counter", None),
+    ("validation_errors_total", "counter", None),
+    ("http_errors_total", "counter", None),
+    ("delta_requests_total", "counter", None),
+    ("delta_unknown_base_total", "counter", None),
+    ("delta_remaps_total", "counter", None),
+    ("delta_holds_total", "counter", None),
+    # Fault tolerance (invocation-driven, so identical across reruns of
+    # one fault plan).
+    ("faults_injected_total", "counter", lambda _svc: get_injector().fired_total()),
+    ("worker_crashes_total", "counter", None),
+    ("pool_rebuilds_total", "counter", None),
+    ("batch_requeues_total", "counter", lambda svc: svc._batcher.requeues),
+    ("solve_deadline_total", "counter", None),
+    ("breaker_open_total", "counter", lambda svc: svc.breaker.opened_total),
+    # 0 closed, 1 half-open, 2 open.
+    ("breaker_state", "gauge", lambda svc: svc.breaker.state_code),
+    ("shed_total", "counter", None),
+    ("solve_failures_total", "counter", None),
+    ("connection_resets_total", "counter", None),
+    ("inflight", "gauge", None),
+    # POST /cache/push: entries applied vs. already-known duplicates.
+    ("replication_applied_total", "counter", None),
+    ("replication_duplicate_total", "counter", None),
+    ("trace_spans_total", "counter", lambda svc: svc.tracer.started_total),
+    ("trace_sampled_out_total", "counter", lambda svc: svc.tracer.sampled_out_total),
+    ("trace_stage_canonicalize_total", "counter", _stage_count("canonicalize")),
+    ("trace_stage_queue_total", "counter", _stage_count("queue")),
+    ("trace_stage_solve_total", "counter", _stage_count("solve")),
+    ("trace_stage_render_total", "counter", _stage_count("render")),
+    # Misses solved on the event loop (caller-runs), apart from solves_total.
+    ("inline_solves_total", "counter", None),
+    # Request latency, observed by the HTTP layer; rendered as quantiles.
+    ("latency_ms", "histogram", None),
+    ("cache_hit_rate", "gauge", _cache_hit_rate),
+    ("latency_p50_ms", "gauge", lambda svc: svc.metrics.quantile("latency_ms", 0.50)),
+    ("latency_p99_ms", "gauge", lambda svc: svc.metrics.quantile("latency_ms", 0.99)),
+)
 
 
 @dataclass(frozen=True)
@@ -145,12 +209,93 @@ class ServiceConfig:
     trace_step_clock: bool = False
 
 
-class _BadRequest(Exception):
-    """Internal: request rejected at the validation boundary."""
+class BadRequest(Exception):
+    """A request body rejected at the validation boundary (a typed 400).
+
+    ``kind`` is the error type the 400 body names.
+    """
 
     def __init__(self, kind: str, message: str):
         super().__init__(message)
         self.kind = kind
+
+
+def parse_map_body(
+    body: bytes, max_threads: int, max_cores: int
+) -> Tuple[np.ndarray, worker.TopoSpec]:
+    """Decode and validate a ``/map`` body; raises :class:`BadRequest`.
+
+    The one ``/map`` grammar: the service answers a raised error with a
+    400, and the cluster router routes such a body by its hash instead
+    of a canonical key.  Returns the normalized matrix and the topology
+    spec.
+    """
+    try:
+        doc = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise BadRequest("InvalidJSON", f"body is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise BadRequest("InvalidRequest", "body must be a JSON object")
+    unknown = set(doc) - {"matrix", "topology"}
+    if unknown:
+        raise BadRequest("InvalidRequest", f"unknown field(s): {sorted(unknown)}")
+    if "matrix" not in doc:
+        raise BadRequest("InvalidRequest", "missing required field 'matrix'")
+    spec = _parse_topology(doc.get("topology"), max_cores)
+    try:
+        raw = np.asarray(doc["matrix"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise BadRequest(
+            "ValidationError", f"matrix is not a numeric 2-D array: {exc}"
+        ) from exc
+    n = raw.shape[0] if raw.ndim >= 1 else 0
+    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
+        raise BadRequest(
+            "ValidationError",
+            f"matrix must be square, got shape {tuple(raw.shape)}",
+        )
+    if n > max_threads:
+        raise BadRequest(
+            "ValidationError", f"matrix has {n} threads, limit is {max_threads}"
+        )
+    try:
+        matrix = normalize_matrix(raw)
+    except ValidationError as exc:
+        raise BadRequest("ValidationError", str(exc)) from exc
+    cores = spec[0] * spec[1] * spec[2]
+    if n > cores:
+        raise BadRequest(
+            "ValidationError",
+            f"{n} threads will not fit on {cores} cores (one thread per core)",
+        )
+    return matrix, spec
+
+
+def _parse_topology(doc: Any, max_cores: int) -> worker.TopoSpec:
+    if doc is None:
+        return (2, 2, 2)  # the paper's Harpertown shape
+    if not isinstance(doc, dict):
+        raise BadRequest("InvalidRequest", "topology must be a JSON object")
+    unknown = set(doc) - {"cores_per_l2", "l2_per_chip", "chips"}
+    if unknown:
+        raise BadRequest(
+            "InvalidRequest", f"unknown topology field(s): {sorted(unknown)}"
+        )
+    spec: List[int] = []
+    for field in ("cores_per_l2", "l2_per_chip", "chips"):
+        value = doc.get(field, 2)  # omitted fields: Harpertown shape
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise BadRequest(
+                "ValidationError",
+                f"topology.{field} must be a positive integer, got {value!r}",
+            )
+        spec.append(value)
+    cores = spec[0] * spec[1] * spec[2]
+    if cores > max_cores:
+        raise BadRequest(
+            "ValidationError", f"topology has {cores} cores, limit is {max_cores}"
+        )
+    return (spec[0], spec[1], spec[2])
 
 
 class MappingService:
@@ -164,7 +309,8 @@ class MappingService:
     ):
         self.config = config or ServiceConfig()
         self.clock = clock
-        self.metrics = ServiceMetrics()
+        #: ``GET /metrics``: the rows of :data:`_METRIC_ROWS`.
+        self.metrics = MetricsRegistry("repro_service_").declare(_METRIC_ROWS, self)
         self._solve_batch_fn = solve_batch_fn
         cfg = self.config
         # Tracing: adopt a process-global tracer (``repro trace
@@ -254,10 +400,10 @@ class MappingService:
         fault (DESIGN.md §11).
         """
         if isinstance(exc, DeadlineExceeded):
-            self.metrics.solve_deadline_total += 1
+            self.metrics.inc("solve_deadline_total")
         else:
-            self.metrics.worker_crashes_total += 1
-        self.metrics.pool_rebuilds_total += 1
+            self.metrics.inc("worker_crashes_total")
+        self.metrics.inc("pool_rebuilds_total")
         if self._executor is not None:
             executor, self._executor = self._executor, None
             executor.shutdown(wait=False, cancel_futures=True)
@@ -306,17 +452,20 @@ class MappingService:
 
     async def _handle_map(self, body: bytes, parent_id: int = 0) -> Response:
         """The untraced pipeline body behind :meth:`handle_map`."""
-        self.metrics.mappings_total += 1
+        self.metrics.inc("mappings_total")
         body_key = hashlib.sha256(body).hexdigest()
         cached = self._body_cache.get(body_key)
         if cached is not None:
-            self.metrics.body_cache_hits_total += 1
+            self.metrics.inc("body_cache_hits_total")
             return 200, {"X-Repro-Cache": "body"}, cached
         try:
-            matrix, topology, spec = self._parse(body)
-        except _BadRequest as exc:
-            self.metrics.validation_errors_total += 1
+            matrix, spec = parse_map_body(
+                body, self.config.max_threads, self.config.max_cores
+            )
+        except BadRequest as exc:
+            self.metrics.inc("validation_errors_total")
             return 400, {}, _error_body(exc.kind, str(exc))
+        topology = worker.topology_from_spec(spec)
         tracer = self.tracer
         cspan = (
             tracer.begin(
@@ -389,9 +538,9 @@ class MappingService:
         """
         assignment = self._solve_cache.get(key)
         if assignment is not None:
-            self.metrics.solve_cache_hits_total += 1
+            self.metrics.inc("solve_cache_hits_total")
             return assignment, "solve", None
-        self.metrics.solve_cache_misses_total += 1
+        self.metrics.inc("solve_cache_misses_total")
         payload = (canon.tobytes(), n, spec)
         if (
             n <= INLINE_MAX_THREADS
@@ -418,13 +567,13 @@ class MappingService:
             try:
                 assignment = await self._batcher.submit(key, payload)
             except Overloaded as exc:
-                self.metrics.rejected_total += 1
+                self.metrics.inc("rejected_total")
                 headers = {"Retry-After": str(max(1, int(exc.retry_after)))}
                 return None, "miss", (
                     429, headers, _error_body("Overloaded", str(exc))
                 )
             except CircuitOpen as exc:
-                self.metrics.shed_total += 1
+                self.metrics.inc("shed_total")
                 headers = {"Retry-After": str(max(1, math.ceil(exc.retry_after)))}
                 return None, "miss", (
                     503, headers, _error_body("CircuitOpen", str(exc))
@@ -433,7 +582,7 @@ class MappingService:
                 # Requeues exhausted: fail the request cleanly and
                 # retryably — the pool has already been rebuilt, so a
                 # client honoring Retry-After will succeed next attempt.
-                self.metrics.solve_failures_total += 1
+                self.metrics.inc("solve_failures_total")
                 return None, "miss", (
                     503, {"Retry-After": "1"}, _error_body("Unavailable", str(exc))
                 )
@@ -465,7 +614,7 @@ class MappingService:
         if span is not None:
             tracer.end(span, args={"threads": n})
         self._solve_cache.put(key, assignment)
-        self.metrics.inline_solves_total += 1
+        self.metrics.inc("inline_solves_total")
         return assignment
 
     async def handle_delta(
@@ -513,21 +662,21 @@ class MappingService:
            the shared cache/batcher path;
         7. render the remap-or-hold verdict (byte-deterministic).
         """
-        self.metrics.delta_requests_total += 1
+        self.metrics.inc("delta_requests_total")
         body_key = hashlib.sha256(b"delta\x00" + body).hexdigest()
         cached = self._body_cache.get(body_key)
         if cached is not None:
-            self.metrics.body_cache_hits_total += 1
+            self.metrics.inc("body_cache_hits_total")
             return 200, {"X-Repro-Cache": "body"}, cached
         try:
             doc = self._parse_delta(body)
-        except _BadRequest as exc:
-            self.metrics.validation_errors_total += 1
+        except BadRequest as exc:
+            self.metrics.inc("validation_errors_total")
             return 400, {}, _error_body(exc.kind, str(exc))
         base_key = doc["base_key"]
         entry = self._matrix_cache.get(base_key)
         if entry is None:
-            self.metrics.delta_unknown_base_total += 1
+            self.metrics.inc("delta_unknown_base_total")
             return 404, {}, _error_body(
                 "UnknownBaseKey",
                 f"base_key {base_key!r} is not in the canonical-matrix "
@@ -540,8 +689,8 @@ class MappingService:
             base_cm, window_cm, policy, current_mapping = self._build_delta(
                 doc, canon, n, spec
             )
-        except _BadRequest as exc:
-            self.metrics.validation_errors_total += 1
+        except BadRequest as exc:
+            self.metrics.inc("validation_errors_total")
             return 400, {}, _error_body(exc.kind, str(exc))
         drift = pattern_drift(window_cm, base_cm)
         tracer = self.tracer
@@ -572,10 +721,10 @@ class MappingService:
                 window_cm, current_mapping, proposed, 0, drift
             )
         if decision.remap:
-            self.metrics.delta_remaps_total += 1
+            self.metrics.inc("delta_remaps_total")
             applied = list(decision.mapping)
         else:
-            self.metrics.delta_holds_total += 1
+            self.metrics.inc("delta_holds_total")
             applied = list(current_mapping)
         rspan = (
             tracer.begin("render", cat="service.stage", parent=parent_id, nest=False)
@@ -629,13 +778,13 @@ class MappingService:
         try:
             entries = parse_push(body)
         except ValueError as exc:
-            self.metrics.validation_errors_total += 1
+            self.metrics.inc("validation_errors_total")
             return 400, {}, _error_body("InvalidReplication", str(exc))
         applied = 0
         duplicate = 0
         for entry in entries:
             if entry.n > self.config.max_threads:
-                self.metrics.validation_errors_total += 1
+                self.metrics.inc("validation_errors_total")
                 return 400, {}, _error_body(
                     "ValidationError",
                     f"replica entry has {entry.n} threads, limit is "
@@ -643,7 +792,7 @@ class MappingService:
                 )
             cores = entry.spec[0] * entry.spec[1] * entry.spec[2]
             if cores > self.config.max_cores or entry.n > cores:
-                self.metrics.validation_errors_total += 1
+                self.metrics.inc("validation_errors_total")
                 return 400, {}, _error_body(
                     "ValidationError",
                     f"replica entry maps {entry.n} threads onto {cores} cores",
@@ -658,7 +807,7 @@ class MappingService:
                 or np.signbit(canon).any()
                 or unpack_canonical(packed, entry.n).tobytes() != canon_bytes
             ):
-                self.metrics.validation_errors_total += 1
+                self.metrics.inc("validation_errors_total")
                 return 400, {}, _error_body(
                     "InvalidReplication",
                     f"replica entry {entry.key!r} is not a canonical matrix: "
@@ -666,7 +815,7 @@ class MappingService:
                     "symmetric with a zero diagonal",
                 )
             if canonical_key(canon, entry.spec) != entry.key:
-                self.metrics.validation_errors_total += 1
+                self.metrics.inc("validation_errors_total")
                 return 400, {}, _error_body(
                     "InvalidReplication",
                     f"replica entry key {entry.key!r} does not match its "
@@ -682,8 +831,8 @@ class MappingService:
             self._solve_cache.put(entry.key, assignment)
             self._matrix_cache.put(entry.key, (packed, entry.n, entry.spec))
             applied += 1
-        self.metrics.replication_applied_total += applied
-        self.metrics.replication_duplicate_total += duplicate
+        self.metrics.inc("replication_applied_total", applied)
+        self.metrics.inc("replication_duplicate_total", duplicate)
         payload = {"applied": applied, "duplicate": duplicate}
         rendered = json.dumps(
             payload, sort_keys=True, separators=_JSON_SEPARATORS
@@ -701,24 +850,9 @@ class MappingService:
         return 200, {}, body.encode("utf-8")
 
     def render_metrics(self) -> Response:
-        """The Prometheus text exposition (batcher counters folded in)."""
-        m = self.metrics
-        m.batches_total = self._batcher.batches_dispatched
-        m.solves_total = self._batcher.items_dispatched
-        m.coalesced_total = self._batcher.coalesced
-        m.batch_requeues_total = self._batcher.requeues
-        m.breaker_open_total = self.breaker.opened_total
-        m.breaker_state = self.breaker.state_code
-        m.faults_injected_total = get_injector().fired_total()
-        tracer = self.tracer
-        m.trace_spans_total = tracer.started_total
-        m.trace_sampled_out_total = tracer.sampled_out_total
-        stages = tracer.stage_counts
-        m.trace_stage_canonicalize_total = stages.get("canonicalize", 0)
-        m.trace_stage_queue_total = stages.get("queue", 0)
-        m.trace_stage_solve_total = stages.get("solve", 0)
-        m.trace_stage_render_total = stages.get("render", 0)
-        return 200, {"Content-Type": "text/plain; charset=utf-8"}, m.render().encode("utf-8")
+        """The Prometheus text exposition of :attr:`metrics`."""
+        text = self.metrics.render()
+        return 200, {"Content-Type": "text/plain; charset=utf-8"}, text.encode("utf-8")
 
     def render_trace(self) -> Response:
         """``GET /trace``: Chrome-trace JSON of the span ring buffer."""
@@ -731,81 +865,6 @@ class MappingService:
         return 200, {"Content-Type": "application/json; charset=utf-8"}, body
 
     # -- internals ---------------------------------------------------------------
-
-    def _parse(
-        self, body: bytes
-    ) -> Tuple[np.ndarray, Topology, worker.TopoSpec]:
-        """Decode and validate a /map body; raises :class:`_BadRequest`."""
-        try:
-            doc = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _BadRequest("InvalidJSON", f"body is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise _BadRequest("InvalidRequest", "body must be a JSON object")
-        unknown = set(doc) - {"matrix", "topology"}
-        if unknown:
-            raise _BadRequest(
-                "InvalidRequest", f"unknown field(s): {sorted(unknown)}"
-            )
-        if "matrix" not in doc:
-            raise _BadRequest("InvalidRequest", "missing required field 'matrix'")
-        spec = self._parse_topology(doc.get("topology"))
-        try:
-            raw = np.asarray(doc["matrix"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise _BadRequest(
-                "ValidationError", f"matrix is not a numeric 2-D array: {exc}"
-            ) from exc
-        n = raw.shape[0] if raw.ndim >= 1 else 0
-        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-            raise _BadRequest(
-                "ValidationError",
-                f"matrix must be square, got shape {tuple(raw.shape)}",
-            )
-        if n > self.config.max_threads:
-            raise _BadRequest(
-                "ValidationError",
-                f"matrix has {n} threads, limit is {self.config.max_threads}",
-            )
-        try:
-            matrix = normalize_matrix(raw)
-        except ValidationError as exc:
-            raise _BadRequest("ValidationError", str(exc)) from exc
-        topology = worker.topology_from_spec(spec)
-        if n > topology.num_cores:
-            raise _BadRequest(
-                "ValidationError",
-                f"{n} threads will not fit on {topology.num_cores} cores "
-                "(one thread per core)",
-            )
-        return matrix, topology, spec
-
-    def _parse_topology(self, doc: Any) -> worker.TopoSpec:
-        if doc is None:
-            return (2, 2, 2)  # the paper's Harpertown shape
-        if not isinstance(doc, dict):
-            raise _BadRequest("InvalidRequest", "topology must be a JSON object")
-        unknown = set(doc) - {"cores_per_l2", "l2_per_chip", "chips"}
-        if unknown:
-            raise _BadRequest(
-                "InvalidRequest", f"unknown topology field(s): {sorted(unknown)}"
-            )
-        spec: List[int] = []
-        for field in ("cores_per_l2", "l2_per_chip", "chips"):
-            value = doc.get(field, 2)  # omitted fields: Harpertown shape
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise _BadRequest(
-                    "ValidationError",
-                    f"topology.{field} must be a positive integer, got {value!r}",
-                )
-            spec.append(value)
-        cores = spec[0] * spec[1] * spec[2]
-        if cores > self.config.max_cores:
-            raise _BadRequest(
-                "ValidationError",
-                f"topology has {cores} cores, limit is {self.config.max_cores}",
-            )
-        return (spec[0], spec[1], spec[2])
 
     _DELTA_FIELDS = {
         "base_key", "perm", "updates", "decay", "current_mapping", "hysteresis",
@@ -825,24 +884,24 @@ class MappingService:
         try:
             doc = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _BadRequest("InvalidJSON", f"body is not valid JSON: {exc}") from exc
+            raise BadRequest("InvalidJSON", f"body is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
-            raise _BadRequest("InvalidRequest", "body must be a JSON object")
+            raise BadRequest("InvalidRequest", "body must be a JSON object")
         unknown = set(doc) - self._DELTA_FIELDS
         if unknown:
-            raise _BadRequest(
+            raise BadRequest(
                 "InvalidRequest", f"unknown field(s): {sorted(unknown)}"
             )
         for field in ("base_key", "perm", "updates", "current_mapping"):
             if field not in doc:
-                raise _BadRequest(
+                raise BadRequest(
                     "InvalidRequest", f"missing required field {field!r}"
                 )
         if not isinstance(doc["base_key"], str):
-            raise _BadRequest("ValidationError", "base_key must be a string")
+            raise BadRequest("ValidationError", "base_key must be a string")
         for field in ("perm", "updates", "current_mapping"):
             if not isinstance(doc[field], list):
-                raise _BadRequest("ValidationError", f"{field} must be a list")
+                raise BadRequest("ValidationError", f"{field} must be a list")
         decay = doc.get("decay", 1.0)
         if (
             isinstance(decay, bool)
@@ -850,22 +909,22 @@ class MappingService:
             or not math.isfinite(decay)
             or not 0.0 <= decay <= 1.0
         ):
-            raise _BadRequest(
+            raise BadRequest(
                 "ValidationError", f"decay must be a number in [0, 1], got {decay!r}"
             )
         doc["decay"] = float(decay)
         hysteresis = doc.get("hysteresis", {})
         if not isinstance(hysteresis, dict):
-            raise _BadRequest("ValidationError", "hysteresis must be a JSON object")
+            raise BadRequest("ValidationError", "hysteresis must be a JSON object")
         unknown = set(hysteresis) - self._HYSTERESIS_FIELDS
         if unknown:
-            raise _BadRequest(
+            raise BadRequest(
                 "InvalidRequest",
                 f"unknown hysteresis field(s): {sorted(unknown)}",
             )
         for name, value in hysteresis.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise _BadRequest(
+                raise BadRequest(
                     "ValidationError",
                     f"hysteresis.{name} must be a number, got {value!r}",
                 )
@@ -888,7 +947,7 @@ class MappingService:
         if len(perm) != n or any(
             isinstance(p, bool) or not isinstance(p, int) for p in perm
         ) or sorted(perm) != list(range(n)):
-            raise _BadRequest(
+            raise BadRequest(
                 "ValidationError",
                 f"perm must be a permutation of 0..{n - 1} "
                 "(echo the /map response's 'perm')",
@@ -902,7 +961,7 @@ class MappingService:
         updated = base * doc["decay"]
         for idx, update in enumerate(doc["updates"]):
             if not isinstance(update, list) or len(update) != 3:
-                raise _BadRequest(
+                raise BadRequest(
                     "ValidationError",
                     f"updates[{idx}] must be an [i, j, amount] triple",
                 )
@@ -913,12 +972,12 @@ class MappingService:
                     or not isinstance(endpoint, int)
                     or not 0 <= endpoint < n
                 ):
-                    raise _BadRequest(
+                    raise BadRequest(
                         "ValidationError",
                         f"updates[{idx}] thread ids must be in 0..{n - 1}",
                     )
             if i == j:
-                raise _BadRequest(
+                raise BadRequest(
                     "ValidationError",
                     f"updates[{idx}] is self-communication ({i}, {j})",
                 )
@@ -928,7 +987,7 @@ class MappingService:
                 or not math.isfinite(amount)
                 or amount < 0
             ):
-                raise _BadRequest(
+                raise BadRequest(
                     "ValidationError",
                     f"updates[{idx}] amount must be a non-negative finite "
                     f"number, got {amount!r}",
@@ -939,7 +998,7 @@ class MappingService:
             base_cm = CommunicationMatrix.from_array(base)
             window_cm = CommunicationMatrix.from_array(updated)
         except ValidationError as exc:
-            raise _BadRequest("ValidationError", str(exc)) from exc
+            raise BadRequest("ValidationError", str(exc)) from exc
         topology = worker.topology_from_spec(spec)
         current_mapping = doc["current_mapping"]
         if len(current_mapping) != n or any(
@@ -948,7 +1007,7 @@ class MappingService:
             or not 0 <= c < topology.num_cores
             for c in current_mapping
         ):
-            raise _BadRequest(
+            raise BadRequest(
                 "ValidationError",
                 f"current_mapping must list {n} core ids in "
                 f"0..{topology.num_cores - 1}",
@@ -956,7 +1015,7 @@ class MappingService:
         try:
             policy = OnlineRemapPolicy(topology, **doc["hysteresis"])
         except ValueError as exc:
-            raise _BadRequest("ValidationError", str(exc)) from exc
+            raise BadRequest("ValidationError", str(exc)) from exc
         return base_cm, window_cm, policy, list(current_mapping)
 
     async def _dispatch(self, items: List[Item]) -> Dict[str, Any]:

@@ -48,6 +48,11 @@ _REASONS = {
 
 _MAX_HEADERS = 100
 
+#: After a framing error: the most bytes, and the longest time, spent
+#: reading and dropping what the client still sends before closing.
+_DISCARD_BYTES = 64 * 1024 * 1024
+_DISCARD_SECONDS = 2.0
+
 
 class _HttpError(Exception):
     """A malformed request; carries the status to answer with."""
@@ -161,46 +166,47 @@ class MappingServer:
                 try:
                     request = await self._read_request(reader)
                 except _HttpError as exc:
-                    self.service.metrics.http_errors_total += 1
+                    self.service.metrics.inc("http_errors_total")
                     await self._write_response(
                         writer,
                         (exc.status, {}, _error_body("BadRequest", str(exc))),
                         keep_alive=False,
                     )
+                    await self._discard_unread(reader, writer)
                     break
                 if request is None:
                     break
                 self._conns[writer] = True
                 self._busy += 1
-                self.service.metrics.requests_total += 1
-                self.service.metrics.inflight += 1
+                self.service.metrics.inc("requests_total")
+                self.service.metrics.inc("inflight")
                 started = self.service.clock()
                 try:
                     response = await self._route(request)
                 except _HttpError as exc:
                     # Routing-level rejection (e.g. a malformed
                     # X-Repro-Trace header): a typed 4xx, not a 500.
-                    self.service.metrics.http_errors_total += 1
+                    self.service.metrics.inc("http_errors_total")
                     response = (
                         exc.status,
                         {},
                         _error_body("BadRequest", str(exc)),
                     )
                 except Exception as exc:  # noqa: BLE001 — must answer, not crash
-                    self.service.metrics.http_errors_total += 1
+                    self.service.metrics.inc("http_errors_total")
                     response = (
                         500,
                         {},
                         _error_body("InternalError", f"{type(exc).__name__}: {exc}"),
                     )
                 finally:
-                    self.service.metrics.inflight -= 1
+                    self.service.metrics.inc("inflight", -1)
                     self._busy -= 1
                     self._conns[writer] = False
                     if self._busy == 0:
                         self._drained.set()
                 elapsed_ms = (self.service.clock() - started) * 1000.0
-                self.service.metrics.observe_latency_ms(elapsed_ms)
+                self.service.metrics.observe("latency_ms", elapsed_ms)
                 keep_alive = (
                     not self._closing  # repro-lint: ignore[RPL102] -- deliberate fresh re-read: the decision wants the *current* drain state, it does not rely on the loop-top guard
                     and request.headers.get("connection", "").lower() != "close"
@@ -213,7 +219,7 @@ class MappingServer:
                 try:
                     await get_injector().afire(SITE_HTTP_RESPONSE)
                 except InjectedReset:
-                    self.service.metrics.connection_resets_total += 1
+                    self.service.metrics.inc("connection_resets_total")
                     writer.transport.abort()
                     break
                 await self._write_response(writer, response, keep_alive=keep_alive)
@@ -228,6 +234,37 @@ class MappingServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+
+    @staticmethod
+    async def _discard_unread(
+        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Half-close after a framing error, then drop what the peer still sends.
+
+        Closing a socket with unread bytes makes the kernel reset the
+        connection, and a reset can destroy the error response before
+        the client reads it (an over-limit body is refused before it is
+        read).  So: send FIN after the response, read and drop the rest
+        until the client closes, and give up after :data:`_DISCARD_BYTES`
+        or :data:`_DISCARD_SECONDS`.
+        """
+        try:
+            writer.write_eof()
+        except OSError:
+            return  # the peer is already gone
+
+        async def drain() -> None:
+            left = _DISCARD_BYTES
+            while left > 0:
+                chunk = await reader.read(min(left, 1 << 16))
+                if not chunk:
+                    return
+                left -= len(chunk)
+
+        try:
+            await asyncio.wait_for(drain(), timeout=_DISCARD_SECONDS)
+        except asyncio.TimeoutError:
+            pass
 
     async def _read_request(self, reader: asyncio.StreamReader) -> Optional[_Request]:
         """Parse one request; None on clean EOF, _HttpError on garbage."""
@@ -260,12 +297,10 @@ class MappingServer:
         if "transfer-encoding" in headers:
             raise _HttpError(400, "chunked transfer encoding is not supported")
         length_raw = headers.get("content-length", "0")
-        try:
-            length = int(length_raw)
-        except ValueError as exc:
-            raise _HttpError(400, f"bad Content-Length: {length_raw!r}") from exc
-        if length < 0:
+        # ASCII digits only: int() would also take "+27" and "2_7".
+        if not (length_raw.isascii() and length_raw.isdigit()):
             raise _HttpError(400, f"bad Content-Length: {length_raw!r}")
+        length = int(length_raw)
         if length > self.service.config.max_body_bytes:
             raise _HttpError(
                 413,

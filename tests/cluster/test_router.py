@@ -108,8 +108,8 @@ class TestRouting:
                 assert second[1]["X-Repro-Cache"] == "body"
                 assert second[2] == first[2], "warm hit must be byte-identical"
                 # The repeat is answered at the router: one forward only.
-                assert router.metrics.routed_total == 1
-                assert router.metrics.body_cache_hits_total == 1
+                assert router.metrics.value("routed_total") == 1
+                assert router.metrics.value("body_cache_hits_total") == 1
 
         run(scenario())
 
@@ -160,8 +160,8 @@ class TestRouting:
                 assert status == 400
                 assert "X-Repro-Shard" in headers
                 assert json.loads(raw)["error"]
-                assert router.metrics.routed_total == 1
-                assert router.metrics.unroutable_total == 0
+                assert router.metrics.value("routed_total") == 1
+                assert router.metrics.value("unroutable_total") == 0
 
         run(scenario())
 
@@ -177,13 +177,13 @@ class TestRouterAnswers:
                 assert status == 200
                 solver = headers["X-Repro-Shard"]
                 shard = router.supervisor.services[solver]
-                mapped = shard.metrics.mappings_total
+                mapped = shard.metrics.value("mappings_total")
                 status, headers, again = await router.handle_map(body)
                 assert status == 200 and again == first
                 assert headers == {"X-Repro-Cache": "body", "X-Repro-Shard": solver}
-                assert router.metrics.routed_total == 1
-                assert router.metrics.body_cache_hits_total == 1
-                assert shard.metrics.mappings_total == mapped
+                assert router.metrics.value("routed_total") == 1
+                assert router.metrics.value("body_cache_hits_total") == 1
+                assert shard.metrics.value("mappings_total") == mapped
 
         run(scenario())
 
@@ -212,8 +212,8 @@ class TestRouterAnswers:
                 assert status == 200 and again == first
                 assert headers["X-Repro-Shard"] == solver
                 # No forward, so the death is still undiscovered.
-                assert router.metrics.shard_down_total == 0
-                assert router.metrics.routed_total == 1
+                assert router.metrics.value("shard_down_total") == 0
+                assert router.metrics.value("routed_total") == 1
 
         run(scenario())
 
@@ -224,8 +224,8 @@ class TestRouterAnswers:
                 second = await router.handle_map(b"not json")
                 assert first[0] == second[0] == 400
                 assert first[2] == second[2]
-                assert router.metrics.routed_total == 2
-                assert router.metrics.body_cache_hits_total == 0
+                assert router.metrics.value("routed_total") == 2
+                assert router.metrics.value("body_cache_hits_total") == 0
 
         run(scenario())
 
@@ -237,8 +237,8 @@ class TestRouterAnswers:
                 for _ in range(2):
                     status, _, _ = await router.handle_delta(delta_body)
                     assert status == 200
-                assert router.metrics.routed_total == 3
-                assert router.metrics.body_cache_hits_total == 0
+                assert router.metrics.value("routed_total") == 3
+                assert router.metrics.value("body_cache_hits_total") == 0
 
         run(scenario())
 
@@ -251,10 +251,10 @@ class TestRouterAnswers:
                 clock.advance(11)
                 status, _, _ = await router.handle_map(body)
                 assert status == 200
-                assert router.metrics.routed_total == 2
-                assert router.metrics.body_cache_hits_total == 0
+                assert router.metrics.value("routed_total") == 2
+                assert router.metrics.value("body_cache_hits_total") == 0
                 await router.handle_map(body)
-                assert router.metrics.body_cache_hits_total == 1
+                assert router.metrics.value("body_cache_hits_total") == 1
 
         run(scenario())
 
@@ -284,8 +284,8 @@ class TestRouterAnswers:
                 for body in bodies:
                     await router.handle_map(body)
                 await router.handle_map(bodies[0])
-                assert router.metrics.routed_total == 4
-                assert router.metrics.body_cache_hits_total == 0
+                assert router.metrics.value("routed_total") == 4
+                assert router.metrics.value("body_cache_hits_total") == 0
 
         run(scenario())
 
@@ -298,12 +298,12 @@ class TestRouterAnswers:
                 )
                 assert first[0] == second[0] == 200
                 assert first[2] == second[2]
-                assert router.metrics.routed_total == 2
+                assert router.metrics.value("routed_total") == 2
                 status, headers, third = await router.handle_map(body)
                 assert status == 200 and third == first[2]
                 assert headers["X-Repro-Cache"] == "body"
-                assert router.metrics.routed_total == 2
-                assert router.metrics.body_cache_hits_total == 1
+                assert router.metrics.value("routed_total") == 2
+                assert router.metrics.value("body_cache_hits_total") == 1
 
         run(scenario())
 
@@ -314,12 +314,12 @@ class TestReplication:
             async with cluster(shards=3) as router:
                 status, headers, _ = await router.handle_map(body_for(PAIR8))
                 assert status == 200 and headers["X-Repro-Cache"] == "miss"
-                assert router.metrics.replication_publish_total == 1
-                assert router.metrics.replication_push_total == 2
+                assert router.metrics.value("replication_publish_total") == 1
+                assert router.metrics.value("replication_push_total") == 2
                 assert len(router.replicas) == 1
                 solver = headers["X-Repro-Shard"]
                 for shard_id, service in router.supervisor.services.items():
-                    applied = service.metrics.replication_applied_total
+                    applied = service.metrics.value("replication_applied_total")
                     assert applied == (0 if shard_id == solver else 1), (
                         f"{shard_id}: applied={applied}, solver={solver}"
                     )
@@ -333,8 +333,8 @@ class TestReplication:
                 await router.handle_map(body)
                 await router.handle_map(body)
                 await router.handle_map(body)
-                assert router.metrics.replication_publish_total == 1
-                assert router.metrics.replication_push_total == 1
+                assert router.metrics.value("replication_publish_total") == 1
+                assert router.metrics.value("replication_push_total") == 1
 
         run(scenario())
 
@@ -362,7 +362,7 @@ class TestSharedNormalization:
                     status, headers, raw = await router.handle_map(body)
                     assert status == 200 and headers["X-Repro-Cache"] == "miss"
                     out[name] = (route_key, json.loads(raw)["key"])
-                return out, router.metrics.replication_publish_total
+                return out, router.metrics.value("replication_publish_total")
 
         keys, published = run(scenario())
         for name, (route_key, answer_key) in keys.items():
@@ -410,8 +410,8 @@ class TestFailover:
                 assert status == 200
                 assert headers["X-Repro-Shard"] != solver
                 assert settled == first
-                assert router.metrics.reroutes_total == 1
-                assert router.metrics.shard_down_total == 1
+                assert router.metrics.value("reroutes_total") == 1
+                assert router.metrics.value("shard_down_total") == 1
 
         run(scenario())
 
@@ -459,11 +459,11 @@ class TestFailover:
                     await asyncio.sleep(0.01)
                 status, _, raw = router.healthz()
                 assert status == 200, raw
-                assert router.metrics.shard_restarts_total == 1
-                assert router.metrics.replication_replay_total == 1
+                assert router.metrics.value("shard_restarts_total") == 1
+                assert router.metrics.value("replication_replay_total") == 1
                 # The reborn shard received the replayed entry.
                 reborn = router.supervisor.services[solver]
-                assert reborn.metrics.replication_applied_total == 1
+                assert reborn.metrics.value("replication_applied_total") == 1
 
         run(scenario())
 
@@ -543,7 +543,7 @@ class TestQuotasAndHealth:
                 # Another tenant is not throttled by acme's debt.
                 status, _, _ = await router.handle_map(body)
                 assert status == 200
-                assert router.metrics.quota_throttled_total == 1
+                assert router.metrics.value("quota_throttled_total") == 1
                 clock.advance(1.0)
                 status, _, _ = await router.handle_map(body, tenant="acme")
                 assert status == 200

@@ -80,9 +80,9 @@ async def _drive(plan: FaultPlan) -> DeltaRun:
             await client.close()
             server.request_shutdown()
             await server.serve_until_shutdown()
-        run.worker_crashes = service.metrics.worker_crashes_total
-        run.solve_failures = service.metrics.solve_failures_total
-        run.delta_requests = service.metrics.delta_requests_total
+        run.worker_crashes = service.metrics.value("worker_crashes_total")
+        run.solve_failures = service.metrics.value("solve_failures_total")
+        run.delta_requests = service.metrics.value("delta_requests_total")
     return run
 
 

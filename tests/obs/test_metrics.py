@@ -10,6 +10,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     global_registry,
     nearest_rank_index,
+    parse_exposition,
     reset_global_registry,
 )
 
@@ -123,6 +124,99 @@ class TestRegistry:
         reg.callback_gauge("live", lambda: 1)
         reg.callback_gauge("live", lambda: 2)
         assert reg.render() == "# TYPE live gauge\nlive 2\n"
+
+
+class Owner:
+    def __init__(self):
+        self.hits = 0
+        self.ratio = 0.25
+
+
+ROWS = (
+    ("requests_total", "counter", None),
+    ("hits_total", "counter", lambda owner: owner.hits),
+    ("inflight", "gauge", None),
+    ("latency_ms", "histogram", None),
+    ("ratio", "gauge", lambda owner: owner.ratio),
+)
+
+
+class TestDeclaredRows:
+    def test_rows_render_in_declared_order_with_sources_read_late(self):
+        owner = Owner()
+        reg = MetricsRegistry(prefix="svc_").declare(ROWS, owner)
+        reg.inc("requests_total", 2)
+        reg.inc("inflight")
+        reg.inc("inflight", -1)
+        reg.observe("latency_ms", 4.0)
+        owner.hits = 7
+        assert reg.render() == (
+            "# TYPE svc_requests_total counter\n"
+            "svc_requests_total 2\n"
+            "# TYPE svc_hits_total counter\n"
+            "svc_hits_total 7\n"
+            "# TYPE svc_inflight gauge\n"
+            "svc_inflight 0\n"
+            "# TYPE svc_ratio gauge\n"
+            "svc_ratio 0.250000\n"
+        )
+        assert reg.value("hits_total") == 7
+        assert reg.value("latency_ms") == 1
+        assert reg.quantile("latency_ms", 0.5) == 4.0
+
+    def test_undeclared_names_raise(self):
+        reg = MetricsRegistry().declare(ROWS, Owner())
+        for call in (
+            lambda: reg.inc("request_total"),
+            lambda: reg.inc("inflght", -1),
+            lambda: reg.value("nope"),
+            lambda: reg.observe("latency", 1.0),
+        ):
+            with pytest.raises(KeyError):
+                call()
+
+    def test_a_source_row_cannot_be_assigned(self):
+        reg = MetricsRegistry().declare(ROWS, Owner())
+        with pytest.raises(AttributeError):
+            reg.inc("hits_total")
+
+    def test_a_counter_source_must_read_an_int(self):
+        owner = Owner()
+        reg = MetricsRegistry().declare(ROWS, owner)
+        owner.hits = 1.5
+        with pytest.raises(TypeError):
+            reg.render()
+
+    def test_bad_declarations_are_errors(self):
+        with pytest.raises(ValueError, match="unknown kind"):
+            MetricsRegistry().declare((("a", "gague", None),))
+        with pytest.raises(ValueError, match="already declared"):
+            MetricsRegistry().declare((("a", "counter", None),) * 2)
+
+
+class TestParseExposition:
+    def test_reads_back_what_render_wrote(self):
+        reg = MetricsRegistry(prefix="repro_")
+        reg.counter("runs").inc(3)
+        reg.counter("runs", {"tenant": "a b"}).inc(2)
+        reg.gauge("ratio").set(0.5)
+        assert parse_exposition(reg.render()) == {
+            "repro_runs": ("counter", 3),
+            'repro_runs{tenant="a b"}': ("counter", 2),
+            "repro_ratio": ("gauge", 0.5),
+        }
+
+    def test_rows_keep_exposition_order_and_untyped_rows_are_kept(self):
+        text = "# aggregated\nb 1\n# TYPE a gauge\na 2.500000\n\n"
+        rows = parse_exposition(text)
+        assert list(rows) == ["b", "a"]
+        assert rows == {"b": ("untyped", 1), "a": ("gauge", 2.5)}
+
+    def test_a_row_without_a_numeric_value_is_an_error(self):
+        with pytest.raises(ValueError):
+            parse_exposition("repro_runs lots\n")
+        with pytest.raises(ValueError):
+            parse_exposition("repro_runs\n")
 
 
 class TestGlobalRegistry:

@@ -1,44 +1,45 @@
-"""ServiceMetrics: quantile regression, render golden, GET /trace."""
+"""Service metric rows: quantile regression, render golden, GET /trace."""
 
 import json
 
-from repro.service.metrics import ServiceMetrics
+import pytest
+
+from repro.service.app import MappingService
 
 from tests.service.test_service_http import run, serving
 
 
+def service_metrics():
+    """The declared ``repro_service_`` registry of a fresh service."""
+    return MappingService().metrics
+
+
 class TestLatencyQuantiles:
     def test_nearest_rank_pins_exact_values(self):
-        m = ServiceMetrics()
+        m = service_metrics()
         for v in range(1, 101):
-            m.observe_latency_ms(float(v))
+            m.observe("latency_ms", float(v))
         # The old biased int(q*n) index returned 51.0 / 91.0 / 100.0.
-        assert m.latency_quantile_ms(0.50) == 50.0
-        assert m.latency_quantile_ms(0.90) == 90.0
-        assert m.latency_quantile_ms(0.99) == 99.0
+        assert m.quantile("latency_ms", 0.50) == 50.0
+        assert m.quantile("latency_ms", 0.90) == 90.0
+        assert m.quantile("latency_ms", 0.99) == 99.0
 
     def test_two_samples_p50_is_the_lower_one(self):
-        m = ServiceMetrics()
-        m.observe_latency_ms(10.0)
-        m.observe_latency_ms(90.0)
-        assert m.latency_quantile_ms(0.50) == 10.0  # int(q*n) said 90.0
-        assert m.latency_quantile_ms(0.99) == 90.0
+        m = service_metrics()
+        m.observe("latency_ms", 10.0)
+        m.observe("latency_ms", 90.0)
+        assert m.quantile("latency_ms", 0.50) == 10.0  # int(q*n) said 90.0
+        assert m.quantile("latency_ms", 0.99) == 90.0
 
     def test_empty_reservoir_is_zero(self):
-        assert ServiceMetrics().latency_quantile_ms(0.5) == 0.0
-
-    def test_window_bounds_the_reservoir(self):
-        m = ServiceMetrics(latency_window=4)
-        for v in [1.0, 1.0, 1.0, 1.0, 50.0, 60.0, 70.0, 80.0]:
-            m.observe_latency_ms(v)
-        assert m.latency_quantile_ms(0.5) == 60.0
+        assert service_metrics().quantile("latency_ms", 0.5) == 0.0
 
 
 class TestRenderGolden:
     def test_fresh_metrics_render_matches_golden(self):
         # Byte-for-byte pin of the exposition format the chaos harness
         # and ops tooling parse; registration order is part of the API.
-        text = ServiceMetrics().render()
+        text = service_metrics().render()
         lines = text.splitlines()
         assert lines[0] == "# TYPE repro_service_requests_total counter"
         assert lines[1] == "repro_service_requests_total 0"
@@ -50,24 +51,25 @@ class TestRenderGolden:
         assert text.endswith("\n")
 
     def test_counter_attributes_still_read_and_write(self):
-        m = ServiceMetrics()
-        m.requests_total += 3
-        m.inflight = 2
-        assert m.requests_total == 3
+        # Rows are read and written by name through the registry.
+        m = service_metrics()
+        m.inc("requests_total", 3)
+        m.inc("inflight", 2)
+        assert m.value("requests_total") == 3
         assert "repro_service_requests_total 3" in m.render()
         assert "repro_service_inflight 2" in m.render()
+        with pytest.raises(KeyError):
+            m.inc("request_total")
 
     def test_int_discipline_survives_the_facade(self):
-        import pytest
-
-        m = ServiceMetrics()
+        m = service_metrics()
         with pytest.raises(TypeError):
-            m.requests_total = 1.5
+            m.inc("requests_total", 1.5)
 
     def test_cache_hit_rate_renders_as_float(self):
-        m = ServiceMetrics()
-        m.body_cache_hits_total += 1
-        m.solve_cache_misses_total += 1
+        m = service_metrics()
+        m.inc("body_cache_hits_total")
+        m.inc("solve_cache_misses_total")
         assert "repro_service_cache_hit_rate 0.500000" in m.render()
 
 

@@ -10,9 +10,10 @@ Four expositions, each read over real sockets under an injected clock:
   shard rows, then the ``repro_cluster_`` rows), and the same after a
   forward and a router answer.
 
-The solver double advances the clock by :data:`SOLVE_SECONDS` per batch,
-so the latency quantiles render a non-zero value.  Row order, row kinds
-and value formats are all part of the pin.  ``data/metrics_golden.json``
+In the service scenario a solver double advances the clock by
+:data:`SOLVE_SECONDS` per batch, so the latency quantiles render a
+non-zero value.  Row order, row kinds and value formats are all part of
+the pin.  ``data/metrics_golden.json``
 was written by the code that preceded the single metrics registry;
 regenerate it only for a deliberate change of the exposition::
 
@@ -48,7 +49,7 @@ PAIR8 = [
 
 
 class StepClock:
-    """Injected clock that moves only when a solve batch runs."""
+    """Injected clock that moves only when a test advances ``now``."""
 
     def __init__(self) -> None:
         self.now = 0.0

@@ -88,7 +88,7 @@ def idle_pool_answer(body):
         await service.start()
         try:
             response = await service.handle_map(body)
-            return response, service.metrics.inline_solves_total
+            return response, service.metrics.value("inline_solves_total")
         finally:
             await service.aclose()
 
@@ -139,7 +139,7 @@ class TestCallerRuns:
         service, queued, responses = run(scenario())
         assert queued
         assert [r[0] for r in responses] == [200, 200]
-        assert service.metrics.inline_solves_total == 0
+        assert service.metrics.value("inline_solves_total") == 0
         assert service._batcher.items_dispatched == 2
 
     def test_small_key_in_flight_in_the_pool_is_joined(self, tmp_path, monkeypatch):
@@ -162,7 +162,7 @@ class TestCallerRuns:
         assert joined
         keys = {json.loads(r[2])["key"] for r in responses}
         assert [r[0] for r in responses] == [200, 200] and len(keys) == 1
-        assert service.metrics.inline_solves_total == 0
+        assert service.metrics.value("inline_solves_total") == 0
         assert service._batcher.items_dispatched == 1  # solved once
 
     def test_open_breaker_still_sheds_small_keys(self, tmp_path, monkeypatch):
@@ -180,8 +180,8 @@ class TestCallerRuns:
         service, (status, headers, payload) = run(scenario())
         assert status == 503 and "Retry-After" in headers
         assert json.loads(payload)["error"]["type"] == "CircuitOpen"
-        assert service.metrics.shed_total == 1
-        assert service.metrics.inline_solves_total == 0
+        assert service.metrics.value("shed_total") == 1
+        assert service.metrics.value("inline_solves_total") == 0
 
     def test_worker_fault_site_never_fires_on_the_loop(self, tmp_path, monkeypatch):
         plan = FaultPlan(seed=5, events=(
@@ -202,7 +202,7 @@ class TestCallerRuns:
         service, small, fired = run(scenario())
         assert small[0] == 200
         assert fired == 0
-        assert service.metrics.inline_solves_total == 1
+        assert service.metrics.value("inline_solves_total") == 1
 
 
 class SlowFirstSolve:
@@ -258,5 +258,5 @@ class TestPoolRebuild:
             solver.first_returned.wait(timeout=5)
         assert [r[0] for r in responses] == [200, 200, 200]
         assert service._batcher.pending == 0
-        assert service.metrics.pool_rebuilds_total == 1
+        assert service.metrics.value("pool_rebuilds_total") == 1
         assert service._batcher.requeues == 1

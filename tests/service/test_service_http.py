@@ -156,7 +156,7 @@ class TestSingleFlight:
                     ]
                     # Every request is in the pipeline before the solver
                     # is allowed to produce the one shared result.
-                    while svc.metrics.inflight < 8:
+                    while svc.metrics.value("inflight") < 8:
                         await asyncio.sleep(0.001)
                     gate.set()
                     return await asyncio.gather(*tasks)
@@ -216,7 +216,7 @@ class TestBackpressure:
                         await second_client.map_matrix(ring)
                     gate.set()
                     ok = await first
-                    return exc_info.value, ok, svc.metrics.rejected_total
+                    return exc_info.value, ok, svc.metrics.value("rejected_total")
                 finally:
                     await first_client.close()
                     await second_client.close()
@@ -310,7 +310,7 @@ class TestValidation:
                         {"matrix": [[0.0, -1.0], [-1.0, 0.0]]}
                     ).encode()
                     await client.request("POST", "/map", body)
-                    return svc.metrics.validation_errors_total
+                    return svc.metrics.value("validation_errors_total")
 
         errors = run(scenario())
         assert errors == 2
@@ -362,6 +362,9 @@ class TestRouting:
             assert name in metrics, f"{name!r} missing from:\n{metrics}"
 
 
+#: A valid /map body, sent behind Content-Length spellings int() accepts.
+SMALL_MAP = b'{"matrix":[[0,1],[1,0]]}'
+
 #: Requests the parser must refuse, as raw bytes.  The two over-long
 #: cases exceed asyncio's 64 KiB StreamReader line limit.
 BAD_FRAMES = {
@@ -379,14 +382,25 @@ BAD_FRAMES = {
     "transfer-encoding": (
         b"POST /map HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
     ),
+    "plus-content-length": (
+        b"POST /map HTTP/1.1\r\nConnection: close\r\n"
+        b"Content-Length: +%d\r\n\r\n" % len(SMALL_MAP) + SMALL_MAP
+    ),
+    "underscore-content-length": (
+        b"POST /map HTTP/1.1\r\nConnection: close\r\n"
+        b"Content-Length: %s\r\n\r\n"
+        % "_".join(str(len(SMALL_MAP))).encode("ascii")
+        + SMALL_MAP
+    ),
 }
 
 
 @asynccontextmanager
-async def routing():
+async def routing(**config_overrides):
     """A listening router over one in-process shard, drained on exit."""
     router = ClusterRouter(
-        RouterConfig(port=0, shards=1), supervisor=InProcessShards(1)
+        RouterConfig(port=0, shards=1, **config_overrides),
+        supervisor=InProcessShards(1),
     )
     server = RouterServer(router)
     host, port = await server.start()
@@ -417,7 +431,7 @@ class TestRawFraming:
                 raw = await reader.read()
                 writer.close()
                 await writer.wait_closed()
-                errors = app.metrics.http_errors_total
+                errors = app.metrics.value("http_errors_total")
             return raw, errors, unhandled
 
         raw, errors, unhandled = run(scenario())
@@ -429,6 +443,40 @@ class TestRawFraming:
         assert json.loads(body)["error"]["type"] == "BadRequest"
         assert errors == 1
         assert unhandled == []
+
+
+class TestOversizedBody:
+    @pytest.mark.parametrize("front", ["serve", "route"])
+    def test_over_limit_body_gets_413_not_a_reset(self, front):
+        # Far above what the socket buffers hold: the server refuses the
+        # body unread, and a plain close would reset the connection.
+        body = b"x" * (16 * 1024 * 1024)
+
+        async def scenario():
+            fronted = serving if front == "serve" else routing
+            async with fronted(max_body_bytes=1024) as (app, srv, host, port):
+                async with AsyncMappingClient(host, port) as client:
+                    status, headers, raw = await client.request(
+                        "POST", "/map", body
+                    )
+                for _ in range(200):
+                    if not srv._handlers:
+                        break
+                    await asyncio.sleep(0.01)
+                return (
+                    status,
+                    headers,
+                    raw,
+                    app.metrics.value("http_errors_total"),
+                    len(srv._handlers),
+                )
+
+        status, headers, raw, errors, handlers = run(scenario())
+        assert status == 413
+        assert headers["connection"] == "close"
+        assert json.loads(raw)["error"]["type"] == "BadRequest"
+        assert errors == 1
+        assert handlers == 0
 
 
 class TestDeterminismAcrossRestartsAndWorkers:
@@ -483,7 +531,7 @@ class TestGracefulShutdown:
             client = AsyncMappingClient(host, port)
             await client.connect()
             request = asyncio.ensure_future(client.map_matrix(PAIR8))
-            while service.metrics.inflight < 1:
+            while service.metrics.value("inflight") < 1:
                 await asyncio.sleep(0.001)
             shutdown = asyncio.ensure_future(server.serve_until_shutdown())
             server.request_shutdown()
@@ -529,7 +577,7 @@ class TestDrainDuringPoolRebuild:
                 client = AsyncMappingClient(host, port)
                 await client.connect()
                 request = asyncio.ensure_future(client.map_matrix(PAIR8))
-                while service.metrics.inflight < 1:
+                while service.metrics.value("inflight") < 1:
                     await asyncio.sleep(0.001)
                 # The worker is now hung inside the injected fault; the
                 # drain that follows must ride through the deadline trip
@@ -557,8 +605,8 @@ class TestDrainDuringPoolRebuild:
         ))
         service, result = self._drain_scenario(plan, solve_deadline=0.1)
         assert sorted(result.mapping) == list(range(8))
-        assert service.metrics.pool_rebuilds_total == 1
-        assert service.metrics.solve_deadline_total == 1
+        assert service.metrics.value("pool_rebuilds_total") == 1
+        assert service.metrics.value("solve_deadline_total") == 1
 
     def test_request_fails_cleanly_when_rebuilds_exhaust_during_drain(self):
         from repro.faults.plan import SITE_WORKER_SOLVE, FaultEvent, FaultPlan
@@ -575,5 +623,5 @@ class TestDrainDuringPoolRebuild:
         )
         assert isinstance(outcome, ServiceUnavailable)
         assert outcome.retry_after >= 1.0
-        assert service.metrics.solve_failures_total == 1
-        assert service.metrics.pool_rebuilds_total == 2
+        assert service.metrics.value("solve_failures_total") == 1
+        assert service.metrics.value("pool_rebuilds_total") == 2

@@ -45,27 +45,20 @@ def run_speedup_smoke():
     })
 
 
-def invariant_text(run) -> str:
-    """What a re-run reproduces: kernel, scale, accesses, counter rows."""
-    stats = run.results
-    head = [f"{k}: {stats[k]}" for k in ("kernel", "scale", "accesses")]
-    return "\n".join(head + list(run.rows))
-
-
 def timing_text(run) -> str:
     """The wall-clock lines, which differ on every run."""
-    stats = run.results
     keys = ("scalar_seconds", "batched_seconds", "speedup")
-    return "\n".join(f"{k}: {stats[k]}" for k in keys)
+    return "\n".join(f"{k}: {run.results[k]}" for k in keys)
 
 
 def test_engine_speedup_smoke(out_dir):
     run = run_speedup_smoke()
     print(timing_text(run))
-    save_artifact(out_dir, "engine_speedup.txt", invariant_text(run))
+    save_artifact(out_dir, "engine_speedup.txt",
+                  run.artifacts["engine_speedup.txt"])
 
 
 if __name__ == "__main__":
     run = run_speedup_smoke()
-    print(invariant_text(run))
+    print(run.artifacts["engine_speedup.txt"])
     print(timing_text(run))

@@ -82,7 +82,7 @@ class Counter:
         self._value += amount
 
     def set(self, value: int) -> None:
-        """Overwrite the count (used when folding external int counters)."""
+        """Overwrite the count with ``value`` (an int)."""
         if not isinstance(value, int) or isinstance(value, bool):
             raise TypeError(f"counter {self.name} takes int values, got {value!r}")
         self._value = value
@@ -101,10 +101,6 @@ class Gauge:
     def value(self) -> Any:
         """Current gauge value."""
         return self._value
-
-    def set(self, value: Any) -> None:
-        """Overwrite the gauge."""
-        self._value = value
 
     def inc(self, amount: Any = 1) -> None:
         """Add ``amount`` (negative to decrease)."""
@@ -252,15 +248,6 @@ class MetricsRegistry:
             metric = family[key] = Counter(name)
         return metric
 
-    def gauge(self, name: str, labels: Optional[Dict[str, str]] = None) -> Gauge:
-        """Get or create the gauge series ``name{labels}``."""
-        family = self._family(name, "gauge")
-        key = _labels_key(labels)
-        metric = family.get(key)
-        if metric is None:
-            metric = family[key] = Gauge(name)
-        return metric
-
     def callback_gauge(
         self,
         name: str,
@@ -271,20 +258,6 @@ class MetricsRegistry:
         family = self._family(name, "gauge")
         metric = CallbackGauge(name, fn)
         family[_labels_key(labels)] = metric
-        return metric
-
-    def histogram(
-        self,
-        name: str,
-        window: int = 2048,
-        labels: Optional[Dict[str, str]] = None,
-    ) -> Histogram:
-        """Get or create the histogram series ``name{labels}``."""
-        family = self._family(name, "histogram")
-        key = _labels_key(labels)
-        metric = family.get(key)
-        if metric is None:
-            metric = family[key] = Histogram(name, window=window)
         return metric
 
     def render(self) -> str:

@@ -297,10 +297,14 @@ class MappingServer:
         if "transfer-encoding" in headers:
             raise _HttpError(400, "chunked transfer encoding is not supported")
         length_raw = headers.get("content-length", "0")
-        # ASCII digits only: int() would also take "+27" and "2_7".
+        # ASCII digits only: int() would also take "+27" and "2_7".  It
+        # still raises for more digits than sys.get_int_max_str_digits().
         if not (length_raw.isascii() and length_raw.isdigit()):
-            raise _HttpError(400, f"bad Content-Length: {length_raw!r}")
-        length = int(length_raw)
+            raise _HttpError(400, f"bad Content-Length: {length_raw[:80]!r}")
+        try:
+            length = int(length_raw)
+        except ValueError as exc:
+            raise _HttpError(400, "Content-Length has too many digits") from exc
         if length > self.service.config.max_body_bytes:
             raise _HttpError(
                 413,

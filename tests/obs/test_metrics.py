@@ -54,8 +54,9 @@ class TestCounter:
 class TestGauges:
     def test_gauge_holds_any_numeric(self):
         g = Gauge("depth")
-        g.set(2.5)
-        assert g.value == 2.5
+        g.inc(2.5)
+        g.inc(-1)
+        assert g.value == 1.5
 
     def test_callback_gauge_computes_on_read(self):
         box = {"v": 1}
@@ -97,14 +98,17 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("a")
         with pytest.raises(ValueError, match="already registered"):
-            reg.gauge("a")
+            reg.declare((("a", "gauge", None),))
 
     def test_render_format_and_order(self):
-        reg = MetricsRegistry(prefix="repro_")
-        reg.counter("runs").inc(3)
-        reg.gauge("ratio").set(0.5)
+        reg = MetricsRegistry(prefix="repro_").declare((
+            ("runs", "counter", None),
+            ("ratio", "gauge", lambda _owner: 0.5),
+            ("lat", "histogram", None),
+        ))
+        reg.inc("runs", 3)
         reg.counter("runs", {"engine": "batched"}).inc(2)
-        reg.histogram("lat").observe(1.0)  # histograms never render
+        reg.observe("lat", 1.0)  # histograms never render
         assert reg.render() == (
             "# TYPE repro_runs counter\n"
             "repro_runs 3\n"
@@ -114,8 +118,7 @@ class TestRegistry:
         )
 
     def test_render_rejects_non_numeric_values(self):
-        reg = MetricsRegistry()
-        reg.gauge("bad").set("oops")
+        reg = MetricsRegistry().declare((("bad", "gauge", lambda _owner: "oops"),))
         with pytest.raises(TypeError):
             reg.render()
 
@@ -199,7 +202,7 @@ class TestParseExposition:
         reg = MetricsRegistry(prefix="repro_")
         reg.counter("runs").inc(3)
         reg.counter("runs", {"tenant": "a b"}).inc(2)
-        reg.gauge("ratio").set(0.5)
+        reg.callback_gauge("ratio", lambda: 0.5)
         assert parse_exposition(reg.render()) == {
             "repro_runs": ("counter", 3),
             'repro_runs{tenant="a b"}': ("counter", 2),

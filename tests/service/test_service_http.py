@@ -392,6 +392,10 @@ BAD_FRAMES = {
         % "_".join(str(len(SMALL_MAP))).encode("ascii")
         + SMALL_MAP
     ),
+    # Digits only, but past int()'s default 4300-digit string limit.
+    "huge-content-length": (
+        b"POST /map HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n"
+    ),
 }
 
 

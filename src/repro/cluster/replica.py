@@ -35,6 +35,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.util.validation import decode_json
+
 #: Bump on incompatible wire changes; a shard rejects unknown versions.
 PUSH_SCHEMA = 1
 
@@ -185,8 +187,8 @@ def render_push(entries: Sequence[ReplicaEntry]) -> bytes:
 def parse_push(body: bytes) -> List[ReplicaEntry]:
     """Decode and validate a push body; raises :class:`ValueError`."""
     try:
-        doc = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        doc = decode_json(body)
+    except ValueError as exc:
         raise ValueError(f"push body is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("push body must be a JSON object")

@@ -83,6 +83,7 @@ from repro.service.canonical import canonical_form, canonical_key
 from repro.service.client import AsyncMappingClient
 from repro.service.http import MappingServer, _Request
 from repro.util.rng import derive_seed
+from repro.util.validation import decode_json
 
 _JSON_SEPARATORS = (",", ":")
 
@@ -472,9 +473,9 @@ class ClusterRouter:
         if cached is not None:
             return cached.key
         try:
-            doc = json.loads(body.decode("utf-8"))
+            doc = decode_json(body)
             base_key = doc.get("base_key") if isinstance(doc, dict) else None
-        except (UnicodeDecodeError, json.JSONDecodeError):
+        except ValueError:
             base_key = None
         key = base_key if isinstance(base_key, str) and base_key else (
             "body:" + body_key

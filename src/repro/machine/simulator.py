@@ -19,11 +19,13 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.machine.system import System
 from repro.obs.metrics import global_registry
 from repro.obs.trace import Span, get_tracer
 from repro.util.rng import as_rng, derive_seed
-from repro.workloads.base import Phase, Workload
+from repro.workloads.base import AccessStream, Phase, Workload
 
 #: Valid values of :attr:`SimConfig.engine`.
 ENGINES = ("auto", "scalar", "batched")
@@ -202,6 +204,40 @@ class RemapHook(Protocol):
 
     def on_tick(self, now_cycles: int, mapping: List[int]) -> Optional[List[int]]:
         """Mid-phase callback: a new mapping to apply, or None."""
+
+
+class _GlobalOrder:
+    """One phase's accesses in the order the round-robin issues them.
+
+    Round ``r`` runs, for each thread in ascending order that still has
+    accesses, its quantum ``r``: one *chunk*.  The order depends only on
+    the stream lengths and the quantum; the core of each access follows
+    from :attr:`threads` and the mapping in force.
+
+    Attributes:
+        rounds: scheduling rounds in the phase.
+        threads / lines / writes: per access, in global order.
+        chunk_start: global position of each chunk, plus the total at the end.
+        round_chunk: first chunk of each round, plus the chunk count at the end.
+    """
+
+    def __init__(self, streams: Sequence[AccessStream], lengths: List[int],
+                 quantum: int, line_shift: int):
+        n = np.array(lengths, np.int64)
+        quanta = -(-n // quantum)
+        self.rounds = int(quanta.max()) if len(n) else 0
+        rnd, thread = np.nonzero(np.arange(self.rounds)[:, None] < quanta[None, :])
+        offset = rnd * quantum
+        size = np.minimum(quantum, n[thread] - offset)
+        self.chunk_start = np.zeros(len(size) + 1, np.int64)
+        np.cumsum(size, out=self.chunk_start[1:])
+        src = np.repeat(
+            (np.cumsum(n) - n)[thread] + offset - self.chunk_start[:-1], size
+        ) + np.arange(int(self.chunk_start[-1]))
+        self.threads = np.repeat(thread, size)
+        self.lines = np.concatenate([s.addrs for s in streams])[src] >> line_shift
+        self.writes = np.concatenate([s.writes for s in streams])[src]
+        self.round_chunk = np.searchsorted(rnd, np.arange(self.rounds + 1))
 
 
 class Simulator:
@@ -387,15 +423,41 @@ class Simulator:
             done = 0
             streams = phase.streams
             if batched:
-                seqs = [s.sequences(page_shift, line_shift) for s in streams]
+                seqs = [s.sequences(page_shift) for s in streams]
                 lengths = [sq.length for sq in seqs]
+                order = _GlobalOrder(streams, lengths, quantum, line_shift)
+                # One segment per phase, or per round when a tick may remap
+                # mid-phase; nothing between quanta touches cache state.
+                segment_rounds = 1 if on_tick is not None else order.rounds
+                mem: List[int] = []
+                chunk = 0
+                seg_chunk = 0
+                seg_key: Tuple[int, ...] = ()
+                cores = order.threads
             else:
                 addrs = [s.addrs.tolist() for s in streams]
                 writes = [s.writes.tolist() for s in streams]
                 lengths = [len(a) for a in addrs]
             pos = [0] * len(streams)
             active = [t for t in range(len(streams)) if lengths[t]]
+            round_index = 0
             while active:
+                if batched and round_index % segment_rounds == 0:
+                    if tuple(mapping) != seg_key:
+                        seg_key = tuple(mapping)
+                        cores = np.asarray(mapping, np.int64)[order.threads]
+                    first = order.round_chunk[round_index]
+                    last = order.round_chunk[
+                        min(round_index + segment_rounds, order.rounds)
+                    ]
+                    lo = int(order.chunk_start[first])
+                    hi = int(order.chunk_start[last])
+                    lat = access_batch(cores, order.lines, order.writes, lo, hi)
+                    mem = np.add.reduceat(
+                        lat, order.chunk_start[first:last] - lo
+                    ).tolist()
+                    seg_chunk = first
+                round_index += 1
                 for t in active[:]:
                     core = mapping[t]
                     i = pos[t]
@@ -417,7 +479,8 @@ class Simulator:
                         mmu = system.mmus[core]
                         tr_vpn = mmu.translate_vpn
                         tr_batch = mmu.translate_batch
-                        cyc = (end - i) * base
+                        cyc = (end - i) * base + mem[chunk - seg_chunk]
+                        chunk += 1
                         j = i
                         k = bisect_right(run_starts, j)
                         while j < end:
@@ -429,7 +492,6 @@ class Simulator:
                                 cyc += tr_batch(vpn, run_end - j - 1)
                             j = run_end
                             k += 1
-                        cyc += access_batch(core, sq.lines, sq.writes, i, end)
                     else:
                         a = addrs[t]
                         w = writes[t]

@@ -10,6 +10,15 @@ evicted, the copies in the L1s above it are shot down (the bus's
 invalidate hook).  A write by one core also invalidates the line in its
 L1 *sibling* (the core sharing the L2) — the intra-pair coherence that
 makes same-L2 sharing cheap but not free.
+
+Two engines share one machine state.  :meth:`MemoryHierarchy.access` is
+the scalar reference: one access at a time on the :class:`Cache` tag
+stores.  :meth:`MemoryHierarchy.access_batch` resolves a whole segment of
+the global access order with array passes (:mod:`repro.mem.segment`) on
+an array copy of the same state.  Whichever engine ran last owns the
+state; the other converts it on first use, so the caches seen through
+:attr:`~MemoryHierarchy.l1s` and :attr:`~MemoryHierarchy.l2s` are always
+current.
 """
 
 from __future__ import annotations
@@ -17,9 +26,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.mem.cache import Cache, CacheConfig, MESIState
-from repro.mem.coherence import CoherenceBus, CoherenceStats
+from repro.mem.coherence import CoherenceBus, CoherenceStats, InvalidateHook
 from repro.mem.interconnect import Interconnect, InterconnectConfig
+from repro.mem.segment import (
+    EMPTY,
+    MODIFIED,
+    SHARED,
+    L2Wiring,
+    LineDirectory,
+    dense_ids,
+    resolve_l1,
+    resolve_mesi,
+)
+
+#: Subtracted from L1 stamps to make them LRU keys below every position
+#: of a segment.
+_OLD = 1 << 62
+
+#: Holder bitmasks index tables of ``2 ** L2s`` entries; machines with
+#: more L2s than this run every segment through the scalar path.
+_MAX_ARRAY_L2 = 16
+
+#: The arrays keep L2 stamps as 32-bit offsets from each L2's clock when
+#: they took over the state; a segment that would overflow them runs the
+#: scalar path.
+_STAMP_SPAN = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -30,6 +64,21 @@ class AccessResult:
     l1_hit: bool
     l2_hit: bool
     served_by: str  # "l1", "l2", "snoop", or "memory"
+
+
+def _inclusion_hook(l1s: List[Cache], l2_cores: List[List[int]]) -> InvalidateHook:
+    """Inclusion: drop a line from every L1 above the invalidated L2.
+
+    A closure over the L1s, not a bound method: the bus keeps its hooks,
+    and a hook holding the hierarchy would make a hierarchy -> bus ->
+    hook -> hierarchy cycle that only the cyclic collector frees.
+    """
+
+    def hook(l2_id: int, line: int) -> None:
+        for core in l2_cores[l2_id]:
+            l1s[core].invalidate(line)
+
+    return hook
 
 
 class MemoryHierarchy:
@@ -78,35 +127,133 @@ class MemoryHierarchy:
             raise ValueError("L1 and L2 must use the same line size")
         self._line_shift = self.l1_config.line_size.bit_length() - 1
 
-        self.l1s: List[Cache] = [
+        self._l1s: List[Cache] = [
             Cache(self.l1_config, owner_id=c) for c in range(num_cores)
         ]
-        self.l2s: List[Cache] = [
+        self._l2s: List[Cache] = [
             Cache(self.l2_config, owner_id=i) for i in range(num_l2)
         ]
         self.bus = CoherenceBus(
-            self.l2s,
+            self._l2s,
             chip_of=chip_of_l2,
             interconnect=interconnect or Interconnect(InterconnectConfig()),
             memory_latency=memory_latency,
             memory_model=memory_model,
         )
-        self.bus.add_invalidate_hook(self._on_l2_invalidate)
         # Cores above each L2, for sibling/inclusion shootdowns.
         self._l2_cores: List[List[int]] = [[] for _ in range(num_l2)]
         for core, l2 in enumerate(self.core_to_l2):
             self._l2_cores[l2].append(core)
+        self.bus.add_invalidate_hook(_inclusion_hook(self._l1s, self._l2_cores))
         self.l1_sibling_invalidations = 0
         self._l1_lat = self.l1_config.latency  # hot-path hoist
-        # Per-core hoisted-structure tuples for access_batch (lazy).
-        self._batch_ctx: dict = {}
 
-    # -- hooks ----------------------------------------------------------------
+        # Wiring tables for access_batch.
+        self._l2_of_core = np.array(self.core_to_l2, np.int64)
+        self._wiring = (
+            L2Wiring(np.array(chip_of_l2, np.int64)) if num_l2 <= _MAX_ARRAY_L2 else None
+        )
+        self._reset_arrays()
 
-    def _on_l2_invalidate(self, l2_id: int, line: int) -> None:
-        """Inclusion: drop the line from every L1 above the invalidated L2."""
-        for core in self._l2_cores[l2_id]:
-            self.l1s[core].invalidate(line)
+    # -- state ownership -----------------------------------------------------------
+
+    def _reset_arrays(self) -> None:
+        """Empty array state, owning the (empty) machine state.
+
+        L1 ways are rows ``core * num_sets + set`` of lines (EMPTY where
+        free) and stamps; each L2 line has a directory row holding its
+        state and stamp in every L2, and each L2 set its occupancy.
+        """
+        n1 = self.num_cores * self.l1_config.num_sets
+        self._l1_line = np.full((n1, self.l1_config.ways), EMPTY, np.int64)
+        self._l1_stamp = np.zeros((n1, self.l1_config.ways), np.int64)
+        self._l2_dir = LineDirectory(len(self._l2s))
+        self._l2_base = np.array([c._clock for c in self._l2s], np.int64)
+        self._l2_occ = np.zeros((len(self._l2s), self.l2_config.num_sets), np.int64)
+        self._arrays_own = True
+
+    def _to_caches(self) -> None:
+        """Hand the state from the arrays to the (empty) tag stores."""
+        num_sets = self.l1_config.num_sets
+        valid = np.flatnonzero(self._l1_line.ravel() != EMPTY)
+        group = valid // self.l1_config.ways
+        lines = self._l1_line.ravel()[valid]
+        stamps = self._l1_stamp.ravel()[valid]
+        order = np.lexsort((stamps, group))
+        for g, x, st in zip(group[order].tolist(), lines[order].tolist(),
+                            stamps[order].tolist()):
+            self._l1s[g // num_sets]._sets[g % num_sets][x] = [1, st]
+        d = self._l2_dir
+        num_sets = self.l2_config.num_sets
+        for c, cache in enumerate(self._l2s):
+            rows = np.flatnonzero(d.state[c, :d.used])
+            rows = rows[np.argsort(d.stamp[c, rows])]
+            stamps = d.stamp[c, rows].astype(np.int64) + self._l2_base[c]
+            sets = cache._sets
+            for x, st, sp in zip(d.lines(rows).tolist(), d.state[c, rows].tolist(),
+                                 stamps.tolist()):
+                sets[x % num_sets][x] = [st, sp]
+        self._reset_arrays()
+        self._arrays_own = False
+
+    def _to_arrays(self) -> bool:
+        """Take the state from the tag stores into arrays, emptying them.
+
+        Returns False, changing nothing, if an L2 stamp lies too far behind
+        its cache's clock to keep as an offset.
+        """
+        l2_items = []
+        for cache in self._l2s:
+            items = [(x, e[0], e[1]) for s in cache._sets for x, e in s.items()]
+            if items and min(it[2] for it in items) <= cache._clock - _STAMP_SPAN:
+                return False
+            l2_items.append(items)
+        self._reset_arrays()
+        for core, l1 in enumerate(self._l1s):
+            row = core * self.l1_config.num_sets
+            for s in l1._sets:
+                for way, (x, entry) in enumerate(s.items()):
+                    self._l1_line[row, way] = x
+                    self._l1_stamp[row, way] = entry[1]
+                s.clear()
+                row += 1
+        d = self._l2_dir
+        for c, (cache, items) in enumerate(zip(self._l2s, l2_items)):
+            self._l2_occ[c] = [len(s) for s in cache._sets]
+            for s in cache._sets:
+                s.clear()
+            if items:
+                lines, states, stamps = (np.array(a, np.int64) for a in zip(*items))
+                order = np.argsort(lines)
+                rows = d.rows(lines[order])
+                d.state[c, rows] = states[order]
+                d.stamp[c, rows] = stamps[order] - self._l2_base[c]
+        return True
+
+    def _access_each(
+        self, cores: np.ndarray, lines: np.ndarray, writes: np.ndarray
+    ) -> np.ndarray:
+        """The scalar path for a segment: :meth:`access` per access."""
+        access = self.access
+        shift = self._line_shift
+        return np.array([
+            access(core, x << shift, w) for core, x, w in
+            zip(cores.tolist(), lines.tolist(), writes.tolist())
+        ], np.int64)
+
+    @property
+    def l1s(self) -> List[Cache]:
+        """The private L1s (current whichever engine ran last)."""
+        if self._arrays_own:
+            self._to_caches()
+        return self._l1s
+
+    @property
+    def l2s(self) -> List[Cache]:
+        """The shared L2s (current whichever engine ran last)."""
+        if self._arrays_own:
+            self._to_caches()
+        return self._l2s
 
     # -- access paths ------------------------------------------------------------
 
@@ -122,11 +269,14 @@ class MemoryHierarchy:
     def access(self, core: int, addr: int, is_write: bool) -> int:
         """Perform one access; returns the latency in cycles.
 
-        The hot path of the whole simulator: a read that hits L1 does one
+        The hot path of the scalar engine: a read that hits L1 does one
         dict probe and returns.
         """
+        if self._arrays_own:
+            self._to_caches()
         line = addr >> self._line_shift
-        l1 = self.l1s[core]
+        l1s = self._l1s
+        l1 = l1s[core]
         if is_write:
             # Write-through, no-write-allocate L1: the L1 copy (if any) is
             # updated in place; the write always reaches the L2.
@@ -136,7 +286,7 @@ class MemoryHierarchy:
             # Intra-pair coherence: the sibling's L1 copy is now stale.
             for sibling in self._l2_cores[l2_id]:
                 if sibling != core:
-                    if self.l1s[sibling].invalidate(line) != MESIState.INVALID:
+                    if l1s[sibling].invalidate(line) != MESIState.INVALID:
                         self.l1_sibling_invalidations += 1
             return latency
         # Read path (any valid MESI state is truthy).
@@ -148,445 +298,182 @@ class MemoryHierarchy:
 
     def access_batch(
         self,
-        core: int,
-        lines: Sequence[int],
-        writes: Sequence[bool],
+        cores: np.ndarray,
+        lines: np.ndarray,
+        writes: np.ndarray,
         start: int,
         end: int,
-    ) -> int:
-        """Perform accesses ``start..end`` of one core's stream in bulk.
+    ) -> np.ndarray:
+        """Resolve accesses ``start..end`` of a segment in bulk.
 
-        Batched-engine entry point: one fused loop with the *entire* MESI
-        protocol inlined — L1/L2 hits, silent write upgrades, memory
-        fills, and the snoop paths (cache-to-cache reads, upgrade
-        broadcasts, RFOs), the latter sharing a single holder scan where
-        the scalar path probes twice.  Clocks and counters are mirrored
-        in locals and flushed once at the end; every stamp update is a
-        pop+reinsert so the :class:`~repro.mem.cache.Cache` invariant
-        (dict order == LRU order) is preserved, and the final cache state
-        and every statistic are bit-identical to ``end - start`` calls of
-        :meth:`access`.
+        ``cores``, ``lines`` and ``writes`` are parallel arrays in the
+        *global access order*: the order in which the simulator's
+        round-robin feeds accesses to the hierarchy.  Returns each
+        access's latency in cycles; the machine state and every counter
+        end up bit-identical to ``end - start`` calls of :meth:`access`
+        in that order.
 
-        Only safe when no other core touches the hierarchy in between —
-        i.e. within one scheduling quantum of the simulator.  Returns the
-        summed latency in cycles.
+        The segment is resolved as separate array passes
+        (:mod:`repro.mem.segment`): LRU per (core, L1 set), then each
+        line's MESI state across the L2s, then latencies and counters.
+        That is exact only while no L2 evicts, so a segment in which some
+        L2 set *could* overflow (its resident lines plus the distinct
+        lines new to it exceed its ways) runs through :meth:`access`
+        instead; so does every segment of a machine with more than
+        ``_MAX_ARRAY_L2`` L2s, and one that would carry an L2 clock
+        ``_STAMP_SPAN`` past the arrays' base.
         """
-        bus = self.bus
-        # Per-core hoist context, built once: every object in it is fixed
-        # at construction time (caches, hook list, interconnect methods,
-        # chip map).  Mutable things that may be swapped per run — the
-        # memory model — are read per call below.
-        ctx = self._batch_ctx.get(core)
-        if ctx is None:
-            l2_id = self.core_to_l2[core]
-            l1 = self.l1s[core]
-            l2 = self.l2s[l2_id]
-            sib_l1s = [
-                self.l1s[s] for s in self._l2_cores[l2_id] if s != core
+        cores = cores[start:end]
+        lines = lines[start:end]
+        writes = writes[start:end]
+        if end <= start:
+            return np.zeros(0, np.int64)
+        clocks = np.array([c._clock for c in self._l2s], np.int64)
+        if self._wiring is None or (
+                not self._arrays_own and not self._to_arrays()) or (
+                clocks + 2 * (end - start) - self._l2_base >= _STAMP_SPAN).any():
+            return self._access_each(cores, lines, writes)
+        d = self._l2_dir
+        num_l2 = len(self._l2s)
+        l2 = self._l2_of_core[cores]
+        ulines, u = dense_ids(lines)
+        rows = d.rows(ulines)
+        states = d.state[:, rows].astype(np.int64)
+        num_sets = self.l2_config.num_sets
+        slot = np.arange(num_l2)[:, None] * num_sets + ulines % num_sets
+        wanted = np.zeros((num_l2, len(ulines)), bool)
+        wanted[l2, u] = True
+        new = slot[wanted & (states == 0)]
+        if (np.bincount(new, minlength=num_l2 * num_sets)[new]
+                + self._l2_occ.ravel()[new] > self.l2_config.ways).any():
+            return self._access_each(cores, lines, writes)
+
+        # Pass 1: L1s.  Reads that miss, and every write, reach the L2.
+        l1o = resolve_l1(cores, lines, writes, ulines, u, self._l2_of_core,
+                         self.l1_config.num_sets, self._l1_line,
+                         self._l1_stamp - _OLD)
+        ev_pos = np.flatnonzero(writes | ~l1o.hit)
+        ev_l2 = l2[ev_pos]
+        ev_u = u[ev_pos]
+        ev_w = writes[ev_pos]
+
+        # Pass 2: MESI per line across the L2s.
+        wiring = self._wiring
+        mo = resolve_mesi(ev_l2, ev_u, ev_w, wiring.bit @ (states != 0),
+                          states.max(0), wiring)
+        miss = ~mo.hit
+        snoop = miss & (mo.holders != 0)
+        fetch = miss & (mo.holders == 0)
+        upgrade = ev_w & mo.hit & (mo.state == SHARED)
+        inval = np.where(upgrade, mo.holders & ~wiring.bit[ev_l2],
+                         np.where(ev_w & snoop, mo.holders, 0))
+        near = wiring.peers[ev_l2]
+        sup_near = snoop & (wiring.chip[mo.supplier] == wiring.chip[ev_l2])
+        sup_far = snoop & ~sup_near
+        inval_near = np.where(upgrade, wiring.pop[inval & near], 0)
+        inval_far = np.where(upgrade, wiring.pop[inval & ~near], 0)
+
+        # Pass 3: latencies.  DRAM fills ask the memory model in global
+        # order (AutoNUMA's migrations depend on it).
+        ic = self.bus.interconnect.config
+        fill = np.zeros(len(ev_pos), np.int64)
+        memory_model = self.bus.memory_model
+        if memory_model is None:
+            fill[fetch] = self.bus.memory_latency
+        else:
+            fill[fetch] = [
+                memory_model.memory_latency(chip, x) for chip, x in zip(
+                    wiring.chip[ev_l2[fetch]].tolist(),
+                    ulines[ev_u[fetch]].tolist(),
+                )
             ]
-            ctx = (
-                l1,
-                l2_id,
-                l2,
-                bus.stats,
-                bus.invalidate_hooks,
-                bus.interconnect.transfer,
-                bus.interconnect.invalidate,
-                bus._line_size,
-                self._l1_lat,
-                self.l2_config.latency,
-                sib_l1s,
-                # One sibling is the common topology (paired cores):
-                # skip the loop then.
-                sib_l1s[0] if len(sib_l1s) == 1 else None,
-                bus.chip_of,
-                bus.chip_of[l2_id],
-                l1._sets,
-                l1._num_sets,
-                l1._ways,
-                l2._sets,
-                l2._num_sets,
-                l2._ways,
-                l2.stats,
-                # Other L2s' tag stores, for the single holder scan.
-                [
-                    (cid, c, c._sets, c._num_sets)
-                    for cid, c in enumerate(bus.caches)
-                    if cid != l2_id
-                ],
+        latency = np.full(end - start, self._l1_lat, np.int64)
+        latency[ev_pos] += (
+            np.where(ev_w, 0, self.l2_config.latency)
+            + np.where(sup_near, ic.intra_chip_latency, 0)
+            + np.where(sup_far, ic.inter_chip_latency, 0)
+            + np.maximum(
+                (inval_near > 0) * ic.intra_chip_invalidate_latency,
+                (inval_far > 0) * ic.inter_chip_invalidate_latency,
             )
-            self._batch_ctx[core] = ctx
-        (
-            l1,
-            l2_id,
-            l2,
-            bus_stats,
-            inv_hooks,
-            ic_transfer,
-            ic_invalidate,
-            line_size,
-            l1_lat,
-            l2_lat,
-            sib_l1s,
-            sib0,
-            chip_of,
-            my_chip,
-            l1_sets,
-            l1_num_sets,
-            l1_ways,
-            l2_sets,
-            l2_num_sets,
-            l2_ways,
-            l2_stats,
-            others,
-        ) = ctx
-        # DRAM fill cost: constant under UMA, an oracle call under NUMA.
-        memory_model = bus.memory_model
-        uma_fill = bus.memory_latency if memory_model is None else None
-
-        # Local counter mirrors, flushed once after the loop (no mid-loop
-        # fallbacks remain).  L1 misses are derived: every access does
-        # exactly one L1 lookup, so misses = n - hits.
-        l1_clock = l1._clock
-        l2_clock = l2._clock
-        l1_hits_w = 0          # write-path L1 touches that hit
-        l1_evictions = 0
-        wr_ct = 0              # writes seen (reads are derived: n - wr_ct)
-        rd_miss_ct = 0         # reads that missed the local L2
-        l2_miss_ct = 0         # mirrors l2.stats.misses == bus l2_misses
-        l2_evict_ct = 0
-        l2_wb_ct = 0           # MODIFIED victims (writebacks)
-        wb_mem = 0             # bus writebacks_to_memory
-        snoop_ct = 0
-        memfetch_ct = 0
-        upgrade_ct = 0
-        inval_ct = 0
-        sib_inval = 0
-        n_l1_read_hits = 0     # latency l1_lat each
-        n_write_fast = 0       # latency l1_lat each (M/E silent hits)
-        total = 0
-
-        seg = lines[start:end]
-        if True not in writes[start:end]:
-            # Write-free quantum (the common case in the read-heavy
-            # kernels): run the read path without the per-access write
-            # branch or the zip over the writes list.
-            for line in seg:
-                s1 = l1_sets[line % l1_num_sets]
-                e1 = s1.pop(line, None)
-                if e1 is not None:
-                    l1_clock += 1
-                    e1[1] = l1_clock
-                    s1[line] = e1
-                    n_l1_read_hits += 1
-                    continue
-                s2 = l2_sets[line % l2_num_sets]
-                e2 = s2.pop(line, None)
-                if e2 is not None:  # any valid MESI state serves a read
-                    l2_clock += 1
-                    e2[1] = l2_clock
-                    s2[line] = e2
-                else:
-                    # Local L2 miss: snoop or memory fill.
-                    l2_miss_ct += 1
-                    rd_miss_ct += 1
-                    holders = None
-                    for cid, oc, osets, onum in others:
-                        e = osets[line % onum].get(line)
-                        if e is not None:
-                            if holders is None:
-                                holders = [(cid, e)]
-                            else:
-                                holders.append((cid, e))
-                    if holders is not None:
-                        snoop_ct += 1
-                        supplier, sup_state = holders[0][0], holders[0][1][0]
-                        for h, e in holders:
-                            if e[0] == 3:
-                                supplier, sup_state = h, 3
-                                break
-                            if chip_of[h] == my_chip:
-                                supplier, sup_state = h, e[0]
-                        if sup_state == 3:
-                            wb_mem += 1
-                        for h, e in holders:
-                            e[0] = 1  # all holders downgrade to SHARED
-                        total += l1_lat + l2_lat + ic_transfer(
-                            chip_of[supplier], my_chip, line_size, kind="snoop"
-                        )
-                        fill_state = 1  # MESIState.SHARED
-                    else:
-                        memfetch_ct += 1
-                        total += l1_lat + l2_lat + (
-                            uma_fill
-                            if uma_fill is not None
-                            else memory_model.memory_latency(my_chip, line)
-                        )
-                        fill_state = 2  # MESIState.EXCLUSIVE
-                    l2_clock += 2  # the lookup's and the insert's ticks
-                    if len(s2) >= l2_ways:
-                        vline = next(iter(s2))
-                        ve = s2.pop(vline)
-                        l2_evict_ct += 1
-                        if ve[0] == 3:
-                            l2_wb_ct += 1
-                            wb_mem += 1
-                        for hook in inv_hooks:
-                            hook(l2_id, vline)
-                        ve[0] = fill_state
-                        ve[1] = l2_clock
-                        s2[line] = ve
-                    else:
-                        s2[line] = [fill_state, l2_clock]
-                # L1 refill.  L1 entries are always SHARED (write-through,
-                # no-write-allocate), so a reused victim keeps its state.
-                l1_clock += 2  # the touch's and the refill's clock ticks
-                if len(s1) >= l1_ways:
-                    ve1 = s1.pop(next(iter(s1)))
-                    l1_evictions += 1
-                    ve1[1] = l1_clock
-                    s1[line] = ve1
-                else:
-                    s1[line] = [1, l1_clock]  # MESIState.SHARED
-            n = end - start
-            n_l2_read_hits = n - n_l1_read_hits - rd_miss_ct
-            l1._clock = l1_clock
-            l2._clock = l2_clock
-            l1_stats = l1.stats
-            l1_stats.hits += n_l1_read_hits
-            l1_stats.misses += n - n_l1_read_hits
-            l1_stats.evictions += l1_evictions
-            l2_stats.hits += n_l2_read_hits
-            l2_stats.misses += l2_miss_ct
-            l2_stats.evictions += l2_evict_ct
-            l2_stats.writebacks += l2_wb_ct
-            bus_stats.l2_misses += l2_miss_ct
-            bus_stats.per_cache_misses[l2_id] += l2_miss_ct
-            bus_stats.snoop_transactions += snoop_ct
-            bus_stats.memory_fetches += memfetch_ct
-            bus_stats.invalidations += inval_ct
-            bus_stats.writebacks_to_memory += wb_mem
-            return (
-                total
-                + n_l1_read_hits * l1_lat
-                + n_l2_read_hits * (l1_lat + l2_lat)
-            )
-
-        for line, w in zip(seg, writes[start:end]):
-            if w:
-                # Write-through L1: LRU touch + accounting, store goes down.
-                wr_ct += 1
-                l1_clock += 1
-                s1 = l1_sets[line % l1_num_sets]
-                e1 = s1.pop(line, None)
-                if e1 is not None:
-                    e1[1] = l1_clock
-                    s1[line] = e1
-                    l1_hits_w += 1
-                s2 = l2_sets[line % l2_num_sets]
-                e2 = s2.pop(line, None)
-                if e2 is not None:
-                    l2_clock += 1
-                    e2[1] = l2_clock
-                    s2[line] = e2
-                    state = e2[0]
-                    if state >= 2:  # EXCLUSIVE or MODIFIED: silent hit.
-                        if state == 2:
-                            e2[0] = 3
-                        n_write_fast += 1
-                    else:
-                        # SHARED: upgrade, invalidate every other holder.
-                        upgrade_ct += 1
-                        lat = 0
-                        for cid, oc, osets, onum in others:
-                            oset = osets[line % onum]
-                            prior = oset.pop(line, None)
-                            if prior is not None:
-                                oc.stats.invalidations_received += 1
-                                if prior[0] == 3:
-                                    wb_mem += 1
-                                inval_ct += 1
-                                cost = ic_invalidate(my_chip, chip_of[cid])
-                                if cost > lat:
-                                    lat = cost
-                                for hook in inv_hooks:
-                                    hook(cid, line)
-                        e2[0] = 3
-                        total += l1_lat + lat
-                else:
-                    # Write miss: read-for-ownership.
-                    l2_miss_ct += 1
-                    holders = None
-                    for cid, oc, osets, onum in others:
-                        e = osets[line % onum].get(line)
-                        if e is not None:
-                            if holders is None:
-                                holders = [(cid, oc, osets[line % onum], e)]
-                            else:
-                                holders.append((cid, oc, osets[line % onum], e))
-                    if holders is not None:
-                        snoop_ct += 1
-                        supplier = holders[0][0]
-                        for h, _, _, e in holders:
-                            if e[0] == 3:
-                                supplier = h
-                                break
-                            if chip_of[h] == my_chip:
-                                supplier = h
-                        total += l1_lat + ic_transfer(
-                            chip_of[supplier], my_chip, line_size, kind="rfo"
-                        )
-                        for h, oc, oset, e in holders:
-                            del oset[line]
-                            oc.stats.invalidations_received += 1
-                            if e[0] == 3:
-                                wb_mem += 1
-                            inval_ct += 1
-                            for hook in inv_hooks:
-                                hook(h, line)
-                    else:
-                        memfetch_ct += 1
-                        total += l1_lat + (
-                            uma_fill
-                            if uma_fill is not None
-                            else memory_model.memory_latency(my_chip, line)
-                        )
-                    l2_clock += 2  # the lookup's and the insert's clock ticks
-                    if len(s2) >= l2_ways:
-                        vline = next(iter(s2))
-                        ve = s2.pop(vline)
-                        l2_evict_ct += 1
-                        if ve[0] == 3:
-                            l2_wb_ct += 1
-                            wb_mem += 1
-                        for hook in inv_hooks:
-                            hook(l2_id, vline)
-                        ve[0] = 3  # MESIState.MODIFIED
-                        ve[1] = l2_clock
-                        s2[line] = ve
-                    else:
-                        s2[line] = [3, l2_clock]  # MESIState.MODIFIED
-                # Sibling L1 shootdown (intra-pair coherence).
-                if sib0 is not None:
-                    if sib0._sets[line % sib0._num_sets].pop(line, None) is not None:
-                        sib0.stats.invalidations_received += 1
-                        sib_inval += 1
-                else:
-                    for sl1 in sib_l1s:
-                        if sl1._sets[line % sl1._num_sets].pop(line, None) is not None:
-                            sl1.stats.invalidations_received += 1
-                            sib_inval += 1
-                continue
-            # Read path.  (Clock ticks are fused on the miss branches: the
-            # lookup tick writes no stamp when it misses, so the miss path
-            # advances the clock by 2 in one step before the fill's stamp.)
-            s1 = l1_sets[line % l1_num_sets]
-            e1 = s1.pop(line, None)
-            if e1 is not None:
-                l1_clock += 1
-                e1[1] = l1_clock
-                s1[line] = e1
-                n_l1_read_hits += 1
-                continue
-            s2 = l2_sets[line % l2_num_sets]
-            e2 = s2.pop(line, None)
-            if e2 is not None:  # any valid MESI state serves a read
-                l2_clock += 1
-                e2[1] = l2_clock
-                s2[line] = e2
-            else:
-                # Local L2 miss: snoop or memory fill.
-                l2_miss_ct += 1
-                rd_miss_ct += 1
-                holders = None
-                for cid, oc, osets, onum in others:
-                    e = osets[line % onum].get(line)
-                    if e is not None:
-                        if holders is None:
-                            holders = [(cid, e)]
-                        else:
-                            holders.append((cid, e))
-                if holders is not None:
-                    # Served cache-to-cache: one snoop transaction.  Prefer
-                    # an on-chip supplier; a MODIFIED holder must supply.
-                    snoop_ct += 1
-                    supplier, sup_state = holders[0][0], holders[0][1][0]
-                    for h, e in holders:
-                        if e[0] == 3:
-                            supplier, sup_state = h, 3
-                            break
-                        if chip_of[h] == my_chip:
-                            supplier, sup_state = h, e[0]
-                    if sup_state == 3:
-                        wb_mem += 1
-                    for h, e in holders:
-                        e[0] = 1  # all holders downgrade to SHARED
-                    total += l1_lat + l2_lat + ic_transfer(
-                        chip_of[supplier], my_chip, line_size, kind="snoop"
-                    )
-                    fill_state = 1  # MESIState.SHARED
-                else:
-                    memfetch_ct += 1
-                    total += l1_lat + l2_lat + (
-                        uma_fill
-                        if uma_fill is not None
-                        else memory_model.memory_latency(my_chip, line)
-                    )
-                    fill_state = 2  # MESIState.EXCLUSIVE
-                l2_clock += 2  # the lookup's and the insert's clock ticks
-                if len(s2) >= l2_ways:
-                    vline = next(iter(s2))
-                    ve = s2.pop(vline)
-                    l2_evict_ct += 1
-                    if ve[0] == 3:
-                        l2_wb_ct += 1
-                        wb_mem += 1
-                    for hook in inv_hooks:
-                        hook(l2_id, vline)
-                    ve[0] = fill_state
-                    ve[1] = l2_clock
-                    s2[line] = ve
-                else:
-                    s2[line] = [fill_state, l2_clock]
-            # L1 refill.  L1 entries are always SHARED (write-through,
-            # no-write-allocate), so a reused victim keeps its state.
-            l1_clock += 2  # the touch's and the refill's clock ticks
-            if len(s1) >= l1_ways:
-                ve1 = s1.pop(next(iter(s1)))
-                l1_evictions += 1
-                ve1[1] = l1_clock
-                s1[line] = ve1
-            else:
-                s1[line] = [1, l1_clock]  # MESIState.SHARED
-
-        # Flush the mirrors.  L2 read hits are derived: every read that
-        # missed the L1 did one L2 lookup, hitting unless counted missed.
-        n = end - start
-        n_l2_read_hits = (n - wr_ct) - n_l1_read_hits - rd_miss_ct
-        l1._clock = l1_clock
-        l2._clock = l2_clock
-        l1_stats = l1.stats
-        l1_hits = n_l1_read_hits + l1_hits_w
-        l1_stats.hits += l1_hits
-        l1_stats.misses += n - l1_hits
-        l1_stats.evictions += l1_evictions
-        l2_stats.hits += n_l2_read_hits + n_write_fast + upgrade_ct
-        l2_stats.misses += l2_miss_ct
-        l2_stats.evictions += l2_evict_ct
-        l2_stats.writebacks += l2_wb_ct
-        bus_stats.l2_misses += l2_miss_ct
-        bus_stats.per_cache_misses[l2_id] += l2_miss_ct
-        bus_stats.snoop_transactions += snoop_ct
-        bus_stats.memory_fetches += memfetch_ct
-        bus_stats.upgrades += upgrade_ct
-        bus_stats.invalidations += inval_ct
-        bus_stats.writebacks_to_memory += wb_mem
-        self.l1_sibling_invalidations += sib_inval
-        return (
-            total
-            + (n_l1_read_hits + n_write_fast) * l1_lat
-            + n_l2_read_hits * (l1_lat + l2_lat)
+            + fill
         )
+
+        # Counters.
+        l1_hits = np.bincount(cores[l1o.hit], minlength=self.num_cores)
+        l1_accesses = np.bincount(cores, minlength=self.num_cores)
+        for core, l1 in enumerate(self._l1s):
+            l1.stats.hits += int(l1_hits[core])
+            l1.stats.misses += int(l1_accesses[core] - l1_hits[core])
+            l1.stats.evictions += int(l1o.evictions[core])
+            l1.stats.invalidations_received += int(l1o.invalidations[core])
+        self.l1_sibling_invalidations += l1o.sibling
+        bus_stats = self.bus.stats
+        l2_events = np.bincount(ev_l2, minlength=num_l2)
+        l2_misses = np.bincount(ev_l2[miss], minlength=num_l2)
+        invalidated = ((inval[:, None] & wiring.bit) != 0).sum(0)
+        for c, cache in enumerate(self._l2s):
+            cache.stats.hits += int(l2_events[c] - l2_misses[c])
+            cache.stats.misses += int(l2_misses[c])
+            cache.stats.invalidations_received += int(invalidated[c])
+            bus_stats.per_cache_misses[c] += int(l2_misses[c])
+        bus_stats.l2_misses += int(np.count_nonzero(miss))
+        bus_stats.snoop_transactions += int(np.count_nonzero(snoop))
+        bus_stats.memory_fetches += int(np.count_nonzero(fetch))
+        bus_stats.upgrades += int(np.count_nonzero(upgrade))
+        bus_stats.invalidations += int(invalidated.sum())
+        bus_stats.writebacks_to_memory += int(
+            np.count_nonzero(snoop & (mo.state == MODIFIED))
+        )
+        ic_stats = self.bus.interconnect.stats
+        line_size = self.l2_config.line_size
+        n_near = int(np.count_nonzero(sup_near))
+        n_far = int(np.count_nonzero(sup_far))
+        ic_stats.intra_transactions += n_near + int(inval_near.sum())
+        ic_stats.inter_transactions += n_far + int(inval_far.sum())
+        ic_stats.intra_bytes += n_near * line_size
+        ic_stats.inter_bytes += n_far * line_size
+        # Message kinds enter ``by_kind`` in order of first appearance.
+        kinds = []
+        for kind, per_event in (("snoop", snoop & ~ev_w), ("rfo", snoop & ev_w),
+                                ("invalidate", inval_near + inval_far)):
+            at = np.flatnonzero(per_event)
+            if len(at):
+                kinds.append((int(at[0]), kind, int(per_event.sum())))
+        for _, kind, count in sorted(kinds):
+            ic_stats.by_kind[kind] = ic_stats.by_kind.get(kind, 0) + count
+
+        # End state.  Every lookup ticks a cache's clock and every fill
+        # ticks it again; a line's stamp is the clock at its last touch.
+        tick = 1 + (~writes & ~l1o.hit)
+        stamp_at = np.zeros(len(cores), np.int64)
+        for core, l1 in enumerate(self._l1s):
+            if l1_accesses[core]:
+                mask = cores == core
+                clock = l1._clock + np.cumsum(tick[mask])
+                stamp_at[mask] = clock
+                l1._clock = int(clock[-1])
+        self._l1_line[l1o.groups] = l1o.ways_line
+        self._l1_stamp[l1o.groups] = np.where(
+            l1o.ways_key >= 0, stamp_at[np.maximum(l1o.ways_key, 0)],
+            l1o.ways_key + _OLD,
+        )
+        final = np.where((mo.final_holders & wiring.bit[:, None]) != 0,
+                         mo.final_state, 0)
+        d.state[:, rows] = final
+        delta = (final != 0).astype(np.int64) - (states != 0)
+        changed = delta != 0
+        self._l2_occ += np.bincount(
+            slot[changed], delta[changed], minlength=num_l2 * num_sets
+        ).astype(np.int64).reshape(num_l2, num_sets)
+        for c, cache in enumerate(self._l2s):
+            if l2_events[c]:
+                mask = ev_l2 == c
+                clock = np.cumsum(1 + miss[mask]) + (cache._clock - self._l2_base[c])
+                cache._clock = int(clock[-1] + self._l2_base[c])
+                last = mo.last_in_l2[mask]
+                d.stamp[c, rows[ev_u[mask][last]]] = clock[last]
+        return latency
 
     def access_verbose(self, core: int, addr: int, is_write: bool) -> AccessResult:
         """Like :meth:`access` but reports where the data came from (tests)."""
@@ -622,19 +509,21 @@ class MemoryHierarchy:
 
     def l1_miss_rate(self) -> float:
         """Aggregate L1 miss rate across cores."""
-        hits = sum(c.stats.hits for c in self.l1s)
-        misses = sum(c.stats.misses for c in self.l1s)
+        hits = sum(c.stats.hits for c in self._l1s)
+        misses = sum(c.stats.misses for c in self._l1s)
         total = hits + misses
         return misses / total if total else 0.0
 
     def reset_stats(self) -> None:
         """Zero all counters; cache *contents* are preserved."""
-        for c in self.l1s + self.l2s:
+        for c in self._l1s + self._l2s:
             c.stats.__init__()
         self.bus.reset_stats()
         self.l1_sibling_invalidations = 0
 
     def flush_all(self) -> None:
         """Empty every cache (between independent runs)."""
-        for c in self.l1s + self.l2s:
-            c.flush()
+        if not self._arrays_own:
+            for c in self._l1s + self._l2s:
+                c.flush()
+        self._reset_arrays()

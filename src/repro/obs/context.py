@@ -28,6 +28,8 @@ import os
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from repro.util.validation import decode_json
+
 #: Environment variable carrying a JSON-encoded :class:`TraceContext`.
 TRACE_ENV_VAR = "REPRO_TRACE_CONTEXT"
 
@@ -63,8 +65,8 @@ class TraceContext:
     def from_json(cls, text: str) -> "TraceContext":
         """Parse and validate a context produced by :meth:`to_json`."""
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+            doc = decode_json(text)
+        except ValueError as exc:
             raise ValueError(f"malformed trace context: {exc}") from exc
         if not isinstance(doc, dict):
             raise ValueError("trace context must be a JSON object")

@@ -86,7 +86,7 @@ from repro.service.canonical import (
     unpack_canonical,
     unpermute,
 )
-from repro.util.validation import ValidationError
+from repro.util.validation import ValidationError, decode_json
 
 #: HTTP response triple: status, extra headers, body bytes.
 Response = Tuple[int, Dict[str, str], bytes]
@@ -231,8 +231,8 @@ def parse_map_body(
     spec.
     """
     try:
-        doc = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        doc = decode_json(body)
+    except ValueError as exc:
         raise BadRequest("InvalidJSON", f"body is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise BadRequest("InvalidRequest", "body must be a JSON object")
@@ -882,8 +882,8 @@ class MappingService:
     def _parse_delta(self, body: bytes) -> Dict[str, Any]:
         """Decode a /map/delta body; shape/type checks that need no base."""
         try:
-            doc = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            doc = decode_json(body)
+        except ValueError as exc:
             raise BadRequest("InvalidJSON", f"body is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise BadRequest("InvalidRequest", "body must be a JSON object")

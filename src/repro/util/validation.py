@@ -5,6 +5,10 @@ structural constraints — power-of-two sizes, positive counts — that are
 easy to violate silently.  These helpers fail fast with the parameter name
 in the message.
 
+JSON arriving at a boundary is decoded by :func:`decode_json`, the one
+rule under which every way a document can fail to decode is a
+:class:`ValueError`.
+
 Array-shaped inputs (communication matrices arriving from CSV files or
 the mapping service's HTTP boundary) get the same treatment: the
 ``check_*_array`` helpers reject NaN/Inf, negative cells and non-square
@@ -14,7 +18,8 @@ shapes with a typed :class:`ValidationError`, so callers can distinguish
 
 from __future__ import annotations
 
-from typing import Union
+import json
+from typing import Any, Union
 
 import numpy as np
 
@@ -90,3 +95,17 @@ def check_in_range(name: str, value: Number, lo: Number, hi: Number) -> Number:
     if not lo <= value <= hi:
         raise ValueError(f"{name} must be in [{lo}, {hi}], got {value!r}")
     return value
+
+
+def decode_json(data: Union[bytes, str]) -> Any:
+    """Decode a JSON document; every way it can fail raises ValueError.
+
+    Besides ``JSONDecodeError`` (and ``UnicodeDecodeError`` for bytes),
+    ``json.loads`` raises ``RecursionError`` for nesting deeper than the
+    interpreter's limit and a plain ``ValueError`` for an integer literal
+    past its digit limit; boundaries answer all of them alike.
+    """
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(str(exc) or type(exc).__name__) from exc

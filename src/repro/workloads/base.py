@@ -28,26 +28,23 @@ from repro.util.rng import RngLike, SeedSequenceFactory
 class StreamSequences:
     """Precomputed per-access derived sequences for one stream.
 
-    The batched simulation engine consumes these instead of re-splitting
-    every address on every access: the VPN/line split is vectorized once
-    per phase in numpy, and the same-VPN *run* boundaries — the positions
-    where the fast path must fall back to a full scalar translation — are
-    extracted with one ``flatnonzero`` over the shifted-difference mask.
+    The batched simulation engine's TLB loop consumes these instead of
+    re-splitting every address on every access: the VPN split is
+    vectorized once per stream in numpy, and the same-VPN *run* boundaries
+    — the positions where the fast path must fall back to a full scalar
+    translation — are extracted with one ``flatnonzero`` over the
+    shifted-difference mask.
 
     Attributes:
         length: number of accesses.
         vpns: per-access virtual page numbers (plain list; the engine's
             inner loop indexes these faster than numpy scalars).
-        lines: per-access cache-line numbers.
-        writes: per-access write flags as plain bools.
         run_starts: sorted indices where ``vpns[i] != vpns[i-1]`` (always
             includes 0 for non-empty streams).
     """
 
     length: int
     vpns: List[int]
-    lines: List[int]
-    writes: List[bool]
     run_starts: List[int]
 
 
@@ -76,14 +73,13 @@ class AccessStream:
     def __len__(self) -> int:
         return int(self.addrs.shape[0])
 
-    def sequences(self, page_shift: int, line_shift: int) -> StreamSequences:
-        """Derived VPN/line/run-boundary sequences (cached per geometry).
+    def sequences(self, page_shift: int) -> StreamSequences:
+        """Derived VPN/run-boundary sequences (cached per page size).
 
-        The cache key is ``(page_shift, line_shift)``; a stream replayed
-        under the same machine geometry (e.g. the OS-runs ensemble of one
-        experiment) pays the vectorized split exactly once.
+        A stream replayed under the same page size (e.g. the OS-runs
+        ensemble of one experiment) pays the vectorized split exactly once.
         """
-        key = (page_shift, line_shift)
+        key = page_shift
         cached = self._seq_cache.get(key)
         if cached is not None:
             return cached
@@ -99,8 +95,6 @@ class AccessStream:
         seq = StreamSequences(
             length=n,
             vpns=vpns_np.tolist(),
-            lines=(self.addrs >> line_shift).tolist(),
-            writes=self.writes.tolist(),
             run_starts=run_starts,
         )
         self._seq_cache[key] = seq

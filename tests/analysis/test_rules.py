@@ -78,6 +78,11 @@ class TestRPL003:
     def test_passes_balanced_engines(self):
         assert lint_fixture("rpl003_ok.py", fixture_config(rpl003=RPL003_OK)) == []
 
+    def test_scalar_only_counter_is_exempt(self):
+        cfg = fixture_config(rpl003=dict(RPL003_BAD, **{"scalar-only": ["snoops"]}))
+        findings = lint_fixture("rpl003_bad.py", cfg)
+        assert not [f for f in findings if "scalar engine" in f.message]
+
     def test_vacuous_without_batched_function(self):
         # Parity over a module with no access_batch: nothing to compare.
         cfg = fixture_config(rpl003=dict(RPL003_BAD, **{

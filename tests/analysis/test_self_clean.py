@@ -42,10 +42,15 @@ def test_rpl003_is_not_vacuous_on_src():
             batched |= set(b)
             found_batched_def = found_batched_def or bool(defs)
     assert found_batched_def, "access_batch not found: RPL003 is vacuous"
-    # The MESI protocol counters must all be visible to the rule.
+    # The MESI protocol and interconnect counters must all be visible to
+    # the rule.
     assert {"l2_misses", "snoop_transactions", "invalidations",
-            "memory_fetches", "upgrades", "writebacks_to_memory"} <= scalar
-    assert scalar == batched
+            "memory_fetches", "upgrades", "writebacks_to_memory",
+            "intra_transactions", "inter_bytes"} <= scalar
+    # Exemptions name real scalar counters, and only they differ.
+    scalar_only = set(options["scalar-only"])
+    assert scalar_only <= scalar
+    assert scalar - scalar_only == batched
 
 
 def test_simresult_int_fields_found():

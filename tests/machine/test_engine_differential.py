@@ -1,12 +1,16 @@
 """Differential harness: the batched engine must be bit-identical to scalar.
 
-The batched fast path (vectorized trace precomputation + bulk TLB/cache
-processing) is a pure performance refactor — every counter the paper
-reports must match the scalar reference exactly, access for access.
-These tests run the same workload through both engines and compare the
-*entire* SimResult, including per-core cycles and per-phase breakdowns,
-across synthetic pattern classes, one NPB kernel per pattern class, and
-the feature matrix (noise, detectors, NUMA, Nehalem, remapping).
+The batched engine (array passes over whole segments of the access
+order, with an exact scalar fallback wherever an L2 could evict) is a
+pure performance refactor — every counter the paper reports must match
+the scalar reference exactly, access for access.  These tests run the
+same workload through both engines and compare the *entire* SimResult,
+including per-core cycles and per-phase breakdowns, plus every counter
+of the memory system: each L1 and L2, the coherence bus, the
+interconnect (message kinds in order of first use) and the NUMA model.
+They cover the synthetic pattern classes, one NPB kernel per pattern
+class, the feature matrix (noise, detectors, NUMA, Nehalem, remapping)
+and the configurations the batched engine treats specially.
 """
 
 import dataclasses
@@ -41,30 +45,63 @@ from repro.workloads import (
 )
 
 
+def counters(system):
+    """Every counter of ``system``'s memory side, as comparable values."""
+    h = system.hierarchy
+    ic = h.interconnect.stats
+    numa = system.numa_model
+    return {
+        "l1": [dataclasses.asdict(c.stats) for c in h.l1s],
+        "l2": [dataclasses.asdict(c.stats) for c in h.l2s],
+        "coherence": dataclasses.asdict(h.stats),
+        "l1_sibling_invalidations": h.l1_sibling_invalidations,
+        "interconnect": (
+            ic.intra_transactions, ic.inter_transactions,
+            ic.intra_bytes, ic.inter_bytes, list(ic.by_kind.items()),
+        ),
+        "numa": None if numa is None else (
+            numa.local_fetches, numa.remote_fetches, numa.homed_pages,
+            getattr(numa, "page_migrations", 0),
+        ),
+    }
+
+
 def run_engine(engine, make_workload, make_system=None, mapping=None,
-               detectors=None, **cfg_kwargs):
-    """One run under ``engine`` with everything else freshly constructed."""
+               detectors=None, controller=None, **cfg_kwargs):
+    """One run under ``engine`` with everything else freshly constructed.
+
+    Returns the SimResult and the memory system's :func:`counters`.
+    """
     system = make_system() if make_system else System(harpertown())
     cfg = SimConfig(engine=engine, **cfg_kwargs)
     dets = detectors() if detectors else []
-    return Simulator(system, cfg).run(
-        make_workload(), mapping=mapping, detectors=dets
+    result = Simulator(system, cfg).run(
+        make_workload(), mapping=mapping, detectors=dets,
+        migration_controller=controller() if controller else None,
     )
+    return result, counters(system)
 
 
 def assert_identical(make_workload, make_system=None, mapping=None,
-                     detectors=None, **cfg_kwargs):
-    """Run scalar and batched; every SimResult field must match exactly."""
-    a = run_engine("scalar", make_workload, make_system, mapping,
-                   detectors, **cfg_kwargs)
-    b = run_engine("batched", make_workload, make_system, mapping,
-                   detectors, **cfg_kwargs)
+                     detectors=None, controller=None, **cfg_kwargs):
+    """Run scalar and batched; every SimResult field and every memory
+    counter must match exactly.  Returns the batched run's pair."""
+    a, ca = run_engine("scalar", make_workload, make_system, mapping,
+                       detectors, controller, **cfg_kwargs)
+    b, cb = run_engine("batched", make_workload, make_system, mapping,
+                       detectors, controller, **cfg_kwargs)
     da, db = dataclasses.asdict(a), dataclasses.asdict(b)
     for field in da:
         assert da[field] == db[field], (
             f"engine divergence in {field!r}: scalar={da[field]!r} "
             f"batched={db[field]!r}"
         )
+    for part in ca:
+        assert ca[part] == cb[part], (
+            f"engine divergence in {part} counters: scalar={ca[part]!r} "
+            f"batched={cb[part]!r}"
+        )
+    return b, cb
 
 
 SYNTHETIC_CLASSES = [
@@ -145,6 +182,65 @@ class TestFeatureMatrix:
 
     def test_small_quantum(self):
         assert_identical(self.make_wl, quantum=17)
+
+
+class TickRemap:
+    """Controller stub: ticks mid-phase and remaps on the second tick, so
+    the batched engine resolves one segment per scheduling round."""
+
+    migration_cost_cycles = 0
+    tick_interval_cycles = 50_000
+
+    def __init__(self):
+        self.ticks = 0
+
+    def on_phase_end(self, phase_index, now_cycles, mapping):
+        return None
+
+    def on_tick(self, now_cycles, mapping):
+        self.ticks += 1
+        return [1, 0, 3, 2, 5, 4, 7, 6] if self.ticks == 2 else None
+
+
+class TestSpecialSegments:
+    """Configurations the batched engine resolves differently."""
+
+    def test_small_l2_evicts_through_the_scalar_path(self):
+        _, c = assert_identical(
+            lambda: make_npb_workload("sp", num_threads=8, scale=0.08, seed=7),
+            make_system=lambda: System(harpertown(cache_scale=0.01)),
+        )
+        assert sum(l2["evictions"] for l2 in c["l2"]) > 0
+
+    def test_autonuma_on_small_caches(self):
+        def auto_numa_system():
+            return System(harpertown(cache_scale=0.02), SystemConfig(
+                numa=NUMAConfig(auto_migrate=True)))
+
+        _, c = assert_identical(
+            lambda: make_npb_workload("cg", num_threads=8, scale=0.08, seed=7),
+            make_system=auto_numa_system,
+        )
+        assert sum(l2["evictions"] for l2 in c["l2"]) > 0
+
+    def test_mid_phase_remap_segments_per_round(self):
+        res, _ = assert_identical(
+            lambda: make_npb_workload("ua", num_threads=8, scale=0.1, seed=1),
+            controller=TickRemap,
+        )
+        assert res.migrations == 1
+
+    def test_quantum_of_one(self):
+        assert_identical(
+            lambda: NearestNeighborWorkload(num_threads=8, seed=3, iterations=1),
+            quantum=1,
+        )
+
+    def test_false_sharing_four_cores_per_llc(self):
+        assert_identical(
+            lambda: FalseSharingWorkload(num_threads=8, seed=5),
+            make_system=lambda: System(nehalem()),
+        )
 
 
 class TestPropertyRandomWorkloads:

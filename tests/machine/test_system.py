@@ -65,3 +65,43 @@ class TestBehaviour:
         assert s.tlb_miss_rate() == 0.0
         assert s.tlbs[0].occupancy() == 0
         assert s.hierarchy.stats.l2_misses == 0
+
+
+class TestLifetime:
+    """A finished System is freed by reference counting alone.
+
+    The hierarchy's inclusion hook lives on the coherence bus; were it a
+    bound method of the hierarchy, hierarchy -> bus -> hook -> hierarchy
+    would be a cycle, and every dead machine (tens of thousands of set
+    dicts) would wait for the cyclic collector.
+    """
+
+    @pytest.mark.parametrize("with_detectors", [False, True],
+                             ids=["plain", "sm+hm"])
+    def test_hierarchy_dies_with_its_system(self, with_detectors):
+        import gc
+        import weakref
+
+        from repro.core.detection import DetectorConfig
+        from repro.core.hm_detector import HardwareManagedDetector
+        from repro.core.sm_detector import SoftwareManagedDetector
+        from repro.machine.simulator import Simulator
+        from repro.workloads import NearestNeighborWorkload
+
+        system = System(harpertown(), SystemConfig(
+            tlb_management=TLBManagement.SOFTWARE))
+        detectors = [
+            SoftwareManagedDetector(8, DetectorConfig(sm_sample_threshold=4)),
+            HardwareManagedDetector(8, DetectorConfig(hm_period_cycles=20_000)),
+        ] if with_detectors else []
+        Simulator(system).run(
+            NearestNeighborWorkload(num_threads=8, seed=1, iterations=1),
+            detectors=detectors,
+        )
+        hierarchy = weakref.ref(system.hierarchy)
+        gc.disable()
+        try:
+            del system, detectors
+            assert hierarchy() is None
+        finally:
+            gc.enable()

@@ -449,6 +449,56 @@ class TestRawFraming:
         assert unhandled == []
 
 
+#: JSON that ``json.loads`` rejects with something other than a
+#: JSONDecodeError: nesting past the recursion limit (RecursionError) and
+#: an integer past the 4300-digit conversion limit (plain ValueError).
+#: case -> (path, body, extra headers, expected error type).
+DEEP_JSON = b"[" * 20_000 + b"]" * 20_000
+UNDECODABLE_JSON = {
+    "deep-map": ("/map", DEEP_JSON, {}, "InvalidJSON"),
+    "deep-delta": ("/map/delta", DEEP_JSON, {}, "InvalidJSON"),
+    "deep-push": ("/cache/push", DEEP_JSON, {}, "InvalidReplication"),
+    "huge-int-map": (
+        "/map", b'{"matrix":[[0,1],[1,' + b"9" * 5000 + b"]]}", {}, "InvalidJSON"
+    ),
+    "deep-trace-header": (
+        "/map", SMALL_MAP, {"X-Repro-Trace": "[" * 20_000}, "BadRequest"
+    ),
+}
+
+
+class TestUndecodableJSON:
+    @pytest.mark.parametrize(
+        "case, front",
+        [(case, "serve") for case in UNDECODABLE_JSON]
+        + [("deep-map", "route"), ("deep-delta", "route")],
+    )
+    def test_undecodable_json_gets_typed_400(self, case, front):
+        path, body, headers, expected = UNDECODABLE_JSON[case]
+        request = (
+            f"POST {path} HTTP/1.1\r\nConnection: close\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            + "".join(f"{k}: {v}\r\n" for k, v in headers.items())
+            + "\r\n"
+        ).encode("latin-1") + body
+
+        async def scenario():
+            async with (serving() if front == "serve" else routing()) as (
+                _app, _srv, host, port
+            ):
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(request)
+                await writer.drain()
+                raw = await reader.read()
+                writer.close()
+                await writer.wait_closed()
+            return raw
+
+        head, _, answer = run(scenario()).partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0] == b"HTTP/1.1 400 Bad Request"
+        assert json.loads(answer)["error"]["type"] == expected
+
+
 class TestOversizedBody:
     @pytest.mark.parametrize("front", ["serve", "route"])
     def test_over_limit_body_gets_413_not_a_reset(self, front):

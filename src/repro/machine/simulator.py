@@ -430,10 +430,7 @@ class Simulator:
                 # mid-phase; nothing between quanta touches cache state.
                 segment_rounds = 1 if on_tick is not None else order.rounds
                 mem: List[int] = []
-                chunk = 0
-                seg_chunk = 0
-                seg_key: Tuple[int, ...] = ()
-                cores = order.threads
+                chunk = seg_chunk = 0
             else:
                 addrs = [s.addrs.tolist() for s in streams]
                 writes = [s.writes.tolist() for s in streams]
@@ -443,16 +440,15 @@ class Simulator:
             round_index = 0
             while active:
                 if batched and round_index % segment_rounds == 0:
-                    if tuple(mapping) != seg_key:
-                        seg_key = tuple(mapping)
-                        cores = np.asarray(mapping, np.int64)[order.threads]
                     first = order.round_chunk[round_index]
                     last = order.round_chunk[
                         min(round_index + segment_rounds, order.rounds)
                     ]
-                    lo = int(order.chunk_start[first])
-                    hi = int(order.chunk_start[last])
-                    lat = access_batch(cores, order.lines, order.writes, lo, hi)
+                    lo = order.chunk_start[first]
+                    hi = order.chunk_start[last]
+                    cores = np.asarray(mapping, np.int64)[order.threads[lo:hi]]
+                    lat = access_batch(cores, order.lines[lo:hi],
+                                       order.writes[lo:hi], 0, int(hi - lo))
                     mem = np.add.reduceat(
                         lat, order.chunk_start[first:last] - lo
                     ).tolist()

@@ -365,25 +365,34 @@ def _finish_runs(
     group's end (the deep tail of a few groups)."""
     for head in heads.tolist():
         gi = int(run_g[head])
+        end = int(group_end[head])
         wl: List[int] = ways_line[gi].tolist()
         wk: List[int] = ways_key[gi].tolist()
-        for j in range(head, int(group_end[head])):
-            line = int(run_line[j])
+        p0s = []
+        evicts = []
+        for line, key, fills, decided, ends_in in zip(
+            run_line[head:end].tolist(), run_key[head:end].tolist(),
+            run_reads[head:end].tolist(), run_decided[head:end].tolist(),
+            run_ends_in[head:end].tolist(),
+        ):
             p0 = line in wl
-            fin = bool(run_ends_in[j]) if run_decided[j] else p0
+            evict = False
             if p0:
                 way = wl.index(line)
             elif EMPTY in wl:
                 way = wl.index(EMPTY)
             else:
                 way = wk.index(min(wk))
-                run_evict[j] = bool(run_reads[j])
-            run_p0[j] = p0
-            if fin:
+                evict = fills
+            if ends_in if decided else p0:
                 wl[way] = line
-                wk[way] = int(run_key[j])
-            elif p0 or run_evict[j]:
+                wk[way] = key
+            elif p0 or evict:
                 wl[way] = EMPTY
+            p0s.append(p0)
+            evicts.append(evict)
+        run_p0[head:end] = p0s
+        run_evict[head:end] = evicts
         ways_line[gi] = wl
         ways_key[gi] = wk
 

@@ -6,7 +6,8 @@
 #   make test          tier-1 test suite (default/batched engine)
 #   make test-scalar   tier-1 suite forced onto the scalar reference engine
 #   make differential  identity gates: scalar-vs-batched engine, array-vs-loop
-#                      mapping path, golden /map response bytes
+#                      mapping path, golden /map response bytes, golden
+#                      spec artifacts
 #   make bench-engine  engine speedup smoke benchmark
 #   make spec-smoke    declarative-spec gate: cold run, warm run all-hits
 #   make serve-smoke   boot `repro serve`, round-trip, SIGTERM drain
@@ -43,10 +44,13 @@ test-scalar:
 # Identity contracts: the batched engine against the scalar one, and the
 # array code on the /map miss path (canonical form, merge-round H, blossom
 # matcher, locality) against its loop references in tests/reference, plus
-# the golden /map response bytes written by those loops.
+# the golden /map response bytes written by those loops, and every spec's
+# rendered artifacts against the goldens written by the hand-rolled bench
+# scripts the specs replaced.
 differential:
 	$(PYTHON) -m pytest tests/machine/test_engine_differential.py \
-		tests/test_array_differential.py tests/service/test_map_golden.py -q
+		tests/test_array_differential.py tests/service/test_map_golden.py \
+		tests/experiments/test_spec_differential.py -q
 
 bench-engine:
 	$(PYTHON) -m pytest benchmarks/bench_engine_speedup.py -q

@@ -1,37 +1,18 @@
 """Ablation — HM scan period (DESIGN.md §5.2).
 
-Sweeps the cycle period between all-pairs TLB scans.  Expected shape:
+Driven by ``benchmarks/specs/ablation_hm_period.toml``: sweeps the
+cycle period between all-pairs TLB scans.  Expected shape:
 more frequent scans raise both overhead and accuracy; very sparse scans
 degenerate to a handful of instant samples — the temporal-bias regime
 behind the paper's Figure 5 artifacts.
 """
 
-from conftest import bench_config, save_artifact
-
-from repro.experiments.ablations import hm_period_sweep
-from repro.util.render import format_table
+from conftest import bench_spec, spec_params
 
 
-def test_hm_period_sweep(benchmark, out_dir):
-    cfg = bench_config()
-    scale = min(cfg.scale, 0.4)
-
-    def run():
-        return hm_period_sweep(
-            "sp",
-            periods=(20_000, 80_000, 320_000, 1_280_000),
-            scale=scale, seed=cfg.seed,
-        )
-
-    records = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = [
-        [int(r["period"]), int(r["scans"]), f"{r['accuracy']:.3f}",
-         f"{100 * r['overhead']:.3f}%"]
-        for r in records
-    ]
-    text = format_table(rows, header=["period (cycles)", "scans",
-                                      "accuracy (Pearson)", "overhead"])
-    save_artifact(out_dir, "ablation_hm_period.txt", text)
+def test_hm_period_sweep(benchmark):
+    params = {"scale": min(spec_params()["scale"], 0.4)}
+    records = bench_spec(benchmark, "ablation_hm_period", params).results
 
     scans = [r["scans"] for r in records]
     assert all(a >= b for a, b in zip(scans, scans[1:]))

@@ -5,30 +5,16 @@ entries).  An L1 miss that hits the L2 TLB never traps — so on such
 machines, the SM mechanism only sees *walk-level* misses, thinning its
 sample stream exactly like larger pages do.  This quantifies how much of
 the paper's signal survives a Nehalem-style TLB hierarchy, which the
-paper sidesteps by sizing everything on the L1 TLB.
+paper sidesteps by sizing everything on the L1 TLB.  Driven by
+``benchmarks/specs/ablation_l2_tlb.toml``.
 """
 
-from conftest import bench_config, save_artifact
-
-from repro.experiments.ablations import l2_tlb_sweep
-from repro.util.render import format_table
+from conftest import bench_spec, spec_params
 
 
-def test_l2_tlb_sweep(benchmark, out_dir):
-    cfg = bench_config()
-
-    def run():
-        return l2_tlb_sweep("sp", scale=min(cfg.scale, 0.3), seed=cfg.seed)
-
-    records = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = [
-        ["none" if r["l2_entries"] == 0 else str(int(r["l2_entries"])),
-         int(r["walks"]), int(r["searches"]), f"{r['accuracy']:.2f}"]
-        for r in records
-    ]
-    text = format_table(rows, header=["L2-TLB entries", "page walks",
-                                      "SM searches", "SM accuracy"])
-    save_artifact(out_dir, "ablation_l2_tlb.txt", text)
+def test_l2_tlb_sweep(benchmark):
+    params = {"scale": min(spec_params()["scale"], 0.3)}
+    records = bench_spec(benchmark, "ablation_l2_tlb", params).results
 
     walks = [r["walks"] for r in records]
     assert all(a >= b for a, b in zip(walks, walks[1:]))

@@ -9,31 +9,16 @@ both ways:
   structures start sharing pages, inflating false communication.
 
 The paper implicitly assumes base pages (4 KiB on both its architecture
-families); this sweep shows why that matters.
+families); this sweep (``benchmarks/specs/ablation_page_size.toml``)
+shows why that matters.
 """
 
-from conftest import bench_config, save_artifact
-
-from repro.experiments.ablations import page_size_sweep
-from repro.util.render import format_table
+from conftest import bench_spec, spec_params
 
 
-def test_page_size_sweep(benchmark, out_dir):
-    cfg = bench_config()
-
-    def run():
-        return page_size_sweep("bt", scale=min(cfg.scale, 0.3), seed=cfg.seed)
-
-    records = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = [
-        [f"{int(r['page_size']) // 1024} KiB", f"{100 * r['miss_rate']:.3f}%",
-         int(r["sm_matches"]), f"{r['sm_accuracy']:.2f}",
-         f"{r['hm_accuracy']:.2f}"]
-        for r in records
-    ]
-    text = format_table(rows, header=["page size", "TLB miss rate",
-                                      "SM matches", "SM accuracy", "HM accuracy"])
-    save_artifact(out_dir, "ablation_page_size.txt", text)
+def test_page_size_sweep(benchmark):
+    params = {"scale": min(spec_params()["scale"], 0.3)}
+    records = bench_spec(benchmark, "ablation_page_size", params).results
 
     # Miss rate collapses monotonically as pages grow...
     rates = [r["miss_rate"] for r in records]

@@ -7,20 +7,13 @@ while accuracy degrades slowly — which is why the paper can afford n=100
 at full scale.
 """
 
-from conftest import run_bench_spec, save_artifact, spec_params
+from conftest import bench_spec, spec_params
 
 
-def test_sm_sampling_sweep(benchmark, out_dir):
+def test_sm_sampling_sweep(benchmark):
     params = {"scale": min(spec_params()["scale"], 0.4)}
-    run = benchmark.pedantic(
-        run_bench_spec, args=("ablation_sampling",),
-        kwargs={"params": params, "out_dir": out_dir},
-        rounds=1, iterations=1,
-    )
-    save_artifact(out_dir, "ablation_sm_sampling.txt",
-                  run.artifacts["ablation_sm_sampling.txt"])
+    records = bench_spec(benchmark, "ablation_sampling", params).results
 
-    records = run.results
     # Overhead decreases monotonically with n.
     overheads = [r["overhead"] for r in records]
     assert all(a >= b for a, b in zip(overheads, overheads[1:]))

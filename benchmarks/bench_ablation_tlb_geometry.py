@@ -5,34 +5,15 @@ too small and real sharing is evicted before it can be observed; too
 large and stale entries accumulate (false communication).  The paper's
 64-entry 4-way default sits in the workable middle; the fully-associative
 variant shows the geometry that changes Table I's complexity row.
+Driven by ``benchmarks/specs/ablation_tlb_geometry.toml``.
 """
 
-from conftest import bench_config, save_artifact
-
-from repro.experiments.ablations import tlb_geometry_sweep
-from repro.util.render import format_table
+from conftest import bench_spec, spec_params
 
 
-def test_tlb_geometry_sweep(benchmark, out_dir):
-    cfg = bench_config()
-    scale = min(cfg.scale, 0.4)
-
-    def run():
-        return tlb_geometry_sweep(
-            "bt",
-            geometries=((16, 4), (32, 4), (64, 4), (256, 4), (64, 64)),
-            scale=scale, seed=cfg.seed,
-        )
-
-    records = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = [
-        [int(r["entries"]), int(r["ways"]), f"{r['accuracy']:.3f}",
-         f"{100 * r['tlb_miss_rate']:.3f}%", int(r["matches"])]
-        for r in records
-    ]
-    text = format_table(rows, header=["entries", "ways", "accuracy",
-                                      "miss rate", "matches"])
-    save_artifact(out_dir, "ablation_tlb_geometry.txt", text)
+def test_tlb_geometry_sweep(benchmark):
+    params = {"scale": min(spec_params()["scale"], 0.4)}
+    records = bench_spec(benchmark, "ablation_tlb_geometry", params).results
 
     # Miss rate falls monotonically with capacity (same associativity).
     set_assoc = [r for r in records if r["ways"] == 4]

@@ -17,17 +17,17 @@ two things:
    regression to scalar-equivalent speed.
 
 Runs standalone (``python benchmarks/bench_engine_speedup.py``) or under
-pytest with the rest of the bench suite.  The tracked
-``benchmarks/out/engine_speedup.txt`` holds only what a re-run
-reproduces (kernel, scale, accesses and the compared counters); the
-timings go to stdout.
+pytest with the rest of the bench suite; either way it rewrites the
+tracked ``benchmarks/out/engine_speedup.txt``, which holds only what a
+re-run reproduces (kernel, scale, accesses and the compared counters).
+The timings go to stdout.
 """
 
 from __future__ import annotations
 
 import os
 
-from conftest import run_bench_spec, save_artifact
+from conftest import run_bench_spec
 
 
 def _bench_scale() -> float:
@@ -51,14 +51,9 @@ def timing_text(run) -> str:
     return "\n".join(f"{k}: {run.results[k]}" for k in keys)
 
 
-def test_engine_speedup_smoke(out_dir):
-    run = run_speedup_smoke()
-    print(timing_text(run))
-    save_artifact(out_dir, "engine_speedup.txt",
-                  run.artifacts["engine_speedup.txt"])
+def test_engine_speedup_smoke():
+    print(timing_text(run_speedup_smoke()))
 
 
 if __name__ == "__main__":
-    run = run_speedup_smoke()
-    print(run.artifacts["engine_speedup.txt"])
-    print(timing_text(run))
+    print(timing_text(run_speedup_smoke()))

@@ -2,54 +2,21 @@
 
 The paper's conclusion anticipates growth ("with the increase of the
 number of cores per chip ... mapping threads to cores is becoming more
-important").  We run the full detect→map→ensemble protocol for two
-structured NPB kernels at 16 threads on a 2-chip × 4-L2 × 2-core machine
-and check the headline shape survives: the detected mappings beat the OS
-ensemble on execution time, invalidations and snoops.
+important").  ``benchmarks/specs/ext_16core_suite.toml`` runs the full
+detect→map→ensemble protocol for two structured NPB kernels at 16
+threads on a 2-chip × 4-L2 × 2-core machine; we check the headline shape
+survives: the detected mappings beat the OS ensemble on execution time,
+invalidations and snoops.
 """
 
-from conftest import bench_config, save_artifact
-
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ExperimentRunner
-from repro.machine.topology import multi_level
-from repro.util.render import format_table
-
-TOPO16 = multi_level(2, 4, 2)  # 16 cores, pairs on L2s, 8 per chip
+from conftest import bench_spec, spec_params
 
 
-def test_sixteen_core_protocol(benchmark, out_dir):
-    base = bench_config()
-    config = ExperimentConfig(
-        benchmarks=("bt", "sp"),
-        num_threads=16,
-        scale=min(base.scale, 0.25),
-        os_runs=3,
-        mapped_runs=1,
-        sm_sample_threshold=4,
-        hm_period_cycles=80_000,
-        seed=base.seed,
-    )
+def test_sixteen_core_protocol(benchmark):
+    params = {"scale": min(spec_params()["scale"], 0.25)}
+    run = bench_spec(benchmark, "ext_16core_suite", params)
 
-    def run():
-        return ExperimentRunner(config, topology=TOPO16).run_suite()
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = []
-    for name, r in results.items():
-        rows.append([
-            name.upper(),
-            f"{r.normalized_mean('SM', 'execution_seconds'):.3f}",
-            f"{r.normalized_mean('SM', 'invalidations'):.3f}",
-            f"{r.normalized_mean('SM', 'snoop_transactions'):.3f}",
-        ])
-    text = format_table(
-        rows, header=["bench (16 threads)", "time vs OS", "inval vs OS",
-                      "snoops vs OS"],
-    )
-    save_artifact(out_dir, "ext_16core_suite.txt", text)
-
-    for name, r in results.items():
+    for name, r in run.results.items():
         assert sorted(r.mappings["SM"]) == list(range(16))
         assert r.normalized_mean("SM", "execution_seconds") < 1.0, name
         assert r.normalized_mean("SM", "invalidations") < 0.9, name

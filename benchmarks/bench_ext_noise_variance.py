@@ -10,22 +10,16 @@ dominates because placement variance stacks on top of the noise floor
 that is all the mapped runs have.
 """
 
-from conftest import run_bench_spec, save_artifact, spec_params
+from conftest import bench_spec, spec_params
 
 from repro.util.stats import summarize
 
 
-def test_noise_variance(benchmark, out_dir):
+def test_noise_variance(benchmark):
     # Ensemble sizes (5/5) and the noise rate are pinned by the spec;
     # only the workload scale tracks the bench environment.
     params = {"scale": min(spec_params()["scale"], 0.25)}
-    run = benchmark.pedantic(
-        run_bench_spec, args=("ext_noise_variance",),
-        kwargs={"params": params, "out_dir": out_dir},
-        rounds=1, iterations=1,
-    )
-    save_artifact(out_dir, "ext_noise_variance.txt",
-                  run.artifacts["ext_noise_variance.txt"])
+    run = bench_spec(benchmark, "ext_noise_variance", params)
 
     spreads = {}
     for name, r in run.results.items():

@@ -8,19 +8,13 @@ additionally shows distant (mirror) communication, and the homogeneous
 benchmarks show no structure that the mapper could exploit.
 """
 
-from conftest import run_bench_spec, save_artifact, spec_params
+from conftest import bench_spec, spec_params
 
 from repro.core.accuracy import pattern_class_of, pearson_similarity
 
 
-def test_render_fig4(benchmark, out_dir):
-    run = benchmark.pedantic(
-        run_bench_spec, args=("fig4_sm_patterns",),
-        kwargs={"params": spec_params(), "out_dir": out_dir},
-        rounds=1, iterations=1,
-    )
-    save_artifact(out_dir, "fig4_sm_patterns.txt",
-                  run.artifacts["fig4_sm_patterns.txt"])
+def test_render_fig4(benchmark):
+    run = bench_spec(benchmark, "fig4_sm_patterns", spec_params())
 
     # Qualitative checks, per Section VI-A.
     sm = {name: r.detected["SM"] for name, r in run.results.items()}

@@ -1,31 +1,25 @@
 """Figure 5 — communication patterns detected by the HM mechanism.
 
-Same rendering as Figure 4 for the periodic-scan mechanism, plus the
-paper's comparative claim: SM's event-driven sampling is at least as
-accurate as HM's instant sampling on the suite aggregate ("In general,
-the communication pattern detected by SM is more accurate").
+Driven by ``benchmarks/specs/fig5_hm_patterns.toml`` (Figure 4's
+rendering for the periodic-scan mechanism, on fig4's protocol cells),
+plus the paper's comparative claim: SM's event-driven sampling is at
+least as accurate as HM's instant sampling on the suite aggregate ("In
+general, the communication pattern detected by SM is more accurate").
 """
 
-from conftest import save_artifact
+from conftest import bench_spec, spec_params
 
 from repro.core.accuracy import pearson_similarity
-from repro.experiments.figures import fig5
 
 
-def test_render_fig5(benchmark, suite_results, out_dir):
-    maps = benchmark(fig5, suite_results)
-    save_artifact(out_dir, "fig5_hm_patterns.txt", "\n\n".join(
-        maps[name] for name in sorted(maps)
-    ))
-    from repro.experiments.figures import heatmap_svgs
-    for name, svg in heatmap_svgs(suite_results, "HM").items():
-        (out_dir / f"fig5_{name}.svg").write_text(svg + "\n")
+def test_render_fig5(benchmark):
+    run = bench_spec(benchmark, "fig5_hm_patterns", spec_params())
 
     structured = ("bt", "sp", "lu", "mg", "is", "ua")
     sm_acc = {}
     hm_acc = {}
     for name in structured:
-        r = suite_results[name]
+        r = run.results[name]
         sm_acc[name] = pearson_similarity(r.detected["SM"], r.detected["oracle"])
         hm_acc[name] = pearson_similarity(r.detected["HM"], r.detected["oracle"])
 

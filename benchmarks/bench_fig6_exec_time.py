@@ -8,19 +8,13 @@ improvement (paper: −15.3%); the homogeneous benchmarks (CG, EP, FT)
 show essentially none.
 """
 
-from conftest import run_bench_spec, save_artifact, spec_params
+from conftest import bench_spec, spec_params
 
 from repro.experiments.figures import figure_data
 
 
-def test_render_fig6(benchmark, out_dir):
-    run = benchmark.pedantic(
-        run_bench_spec, args=("fig6_exec_time",),
-        kwargs={"params": spec_params(), "out_dir": out_dir},
-        rounds=1, iterations=1,
-    )
-    save_artifact(out_dir, "fig6_exec_time.txt",
-                  run.artifacts["fig6_exec_time.txt"])
+def test_render_fig6(benchmark):
+    run = bench_spec(benchmark, "fig6_exec_time", spec_params())
 
     data = figure_data(run.results, 6)
 

@@ -1,23 +1,21 @@
 """Figure 7 — cache-line invalidations normalized to the OS scheduler.
 
-Shape targets: UA shows the largest invalidation reduction (paper: −41%,
-"UA achieved the highest reduction of the number of invalidations"), the
-domain benchmarks all reduce substantially, and the homogeneous ones
-stay flat.
+Driven by ``benchmarks/specs/fig7_invalidations.toml`` (fig4's protocol
+cells).  Shape targets: UA shows the largest invalidation reduction
+(paper: −41%, "UA achieved the highest reduction of the number of
+invalidations"), the domain benchmarks all reduce substantially, and the
+homogeneous ones stay flat.
 """
 
-from conftest import save_artifact
+from conftest import bench_spec, spec_params
 
-from repro.experiments.figures import fig7, figure_data
+from repro.experiments.figures import figure_data
 
 
-def test_render_fig7(benchmark, suite_results, out_dir):
-    text = benchmark(fig7, suite_results)
-    save_artifact(out_dir, "fig7_invalidations.txt", text)
-    from repro.experiments.figures import figure_svg
-    (out_dir / "fig7_invalidations.svg").write_text(figure_svg(suite_results, 7) + "\n")
+def test_render_fig7(benchmark):
+    run = bench_spec(benchmark, "fig7_invalidations", spec_params())
 
-    data = figure_data(suite_results, 7)
+    data = figure_data(run.results, 7)
     reductions = {name: 1.0 - min(row["SM"], row["HM"])
                   for name, row in data.items()}
 

@@ -1,23 +1,21 @@
 """Figure 8 — snoop transactions normalized to the OS scheduler.
 
-Shape targets: MG shows the largest snoop reduction (paper: −65.4%, "MG is
-the benchmark that presented the highest reduction of the number of snoop
-transactions"), the domain benchmarks reduce clearly, the homogeneous
-ones don't.
+Driven by ``benchmarks/specs/fig8_snoops.toml`` (fig4's protocol cells).
+Shape targets: MG shows the largest snoop reduction (paper: −65.4%, "MG
+is the benchmark that presented the highest reduction of the number of
+snoop transactions"), the domain benchmarks reduce clearly, the
+homogeneous ones don't.
 """
 
-from conftest import save_artifact
+from conftest import bench_spec, spec_params
 
-from repro.experiments.figures import fig8, figure_data
+from repro.experiments.figures import figure_data
 
 
-def test_render_fig8(benchmark, suite_results, out_dir):
-    text = benchmark(fig8, suite_results)
-    save_artifact(out_dir, "fig8_snoops.txt", text)
-    from repro.experiments.figures import figure_svg
-    (out_dir / "fig8_snoops.svg").write_text(figure_svg(suite_results, 8) + "\n")
+def test_render_fig8(benchmark):
+    run = bench_spec(benchmark, "fig8_snoops", spec_params())
 
-    data = figure_data(suite_results, 8)
+    data = figure_data(run.results, 8)
     reductions = {name: 1.0 - min(row["SM"], row["HM"])
                   for name, row in data.items()}
 

@@ -1,25 +1,23 @@
 """Figure 9 — L2 cache misses normalized to the OS scheduler.
 
-Shape targets: SP shows the largest miss reduction (paper: −31.1%); miss
-reductions are generally *smaller* than invalidation/snoop reductions
-("the number of invalidations and snoop transactions is much more
-sensitive to thread mapping than cache misses"); homogeneous benchmarks
-are flat.
+Driven by ``benchmarks/specs/fig9_l2_misses.toml`` (fig4's protocol
+cells).  Shape targets: SP shows the largest miss reduction (paper:
+−31.1%); miss reductions are generally *smaller* than
+invalidation/snoop reductions ("the number of invalidations and snoop
+transactions is much more sensitive to thread mapping than cache
+misses"); homogeneous benchmarks are flat.
 """
 
-from conftest import save_artifact
+from conftest import bench_spec, spec_params
 
-from repro.experiments.figures import fig9, figure_data
+from repro.experiments.figures import figure_data
 
 
-def test_render_fig9(benchmark, suite_results, out_dir):
-    text = benchmark(fig9, suite_results)
-    save_artifact(out_dir, "fig9_l2_misses.txt", text)
-    from repro.experiments.figures import figure_svg
-    (out_dir / "fig9_l2_misses.svg").write_text(figure_svg(suite_results, 9) + "\n")
+def test_render_fig9(benchmark):
+    run = bench_spec(benchmark, "fig9_l2_misses", spec_params())
 
-    miss = figure_data(suite_results, 9)
-    snoop = figure_data(suite_results, 8)
+    miss = figure_data(run.results, 9)
+    snoop = figure_data(run.results, 8)
     miss_red = {n: 1.0 - min(r["SM"], r["HM"]) for n, r in miss.items()}
     snoop_red = {n: 1.0 - min(r["SM"], r["HM"]) for n, r in snoop.items()}
 

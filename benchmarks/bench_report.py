@@ -1,7 +1,8 @@
 """Full reproduction report — every paper value next to ours.
 
-Renders the Markdown report (the basis of EXPERIMENTS.md) from the shared
-suite run and checks the four headline claims reproduce in direction.
+Renders the Markdown report (the basis of EXPERIMENTS.md) through
+``benchmarks/specs/report.toml`` (fig4's protocol cells) and checks the
+four headline claims reproduce in direction.
 Also folds the online-remapping study (``BENCH_remap.json``, written by
 ``bench_ext_dynamic_migration.py`` earlier in the collection order) into
 a Markdown summary artifact.
@@ -11,20 +12,19 @@ import json
 import pathlib
 
 import pytest
-from conftest import save_artifact
+from conftest import bench_spec, run_bench_spec, save_artifact, spec_params
 
-from repro.experiments.report import generate_report, headline_comparison
+from repro.experiments.report import headline_comparison
 from repro.obs.metrics import global_registry
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 REMAP_RESULT_PATH = REPO_ROOT / "BENCH_remap.json"
 
 
-def test_generate_report(benchmark, suite_results, out_dir):
-    text = benchmark(generate_report, suite_results)
-    save_artifact(out_dir, "reproduction_report.md", text)
+def test_generate_report(benchmark):
+    run = bench_spec(benchmark, "report", spec_params())
 
-    headlines = headline_comparison(suite_results)
+    headlines = headline_comparison(run.results)
     assert len(headlines) == 4
     for key, row in headlines.items():
         # Every headline reduction reproduces in direction (ours > 0).
@@ -70,9 +70,11 @@ def test_remap_study_summary(out_dir):
         assert r["migrations"] == 0, r
 
 
-def test_metrics_registry_snapshot(suite_results, out_dir):
-    # The suite run above populated the process-global registry via the
-    # runner; persist its exposition text next to the report.
+def test_metrics_registry_snapshot(out_dir):
+    # The report spec's protocol cells count in the process-global
+    # registry whether simulated or served from the cache; persist its
+    # exposition text next to the report.
+    run_bench_spec("report", spec_params())
     text = global_registry().render()
     assert "repro_runner_benchmarks_total" in text
     save_artifact(out_dir, "metrics_registry.txt", text)

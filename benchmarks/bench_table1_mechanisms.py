@@ -6,7 +6,7 @@ pytest-benchmark (the Θ(P) vs Θ(P²·S) gap must be visible in real time),
 and render the live Table I via ``benchmarks/specs/table1_mechanisms.toml``.
 """
 
-from conftest import run_bench_spec, save_artifact
+from conftest import run_bench_spec
 
 from repro.core.detection import DetectorConfig
 from repro.core.hm_detector import HardwareManagedDetector
@@ -47,8 +47,7 @@ def test_hm_scan_routine(benchmark):
     assert det.matches_found > 0
 
 
-def test_render_table1(benchmark, out_dir):
+def test_render_table1(benchmark):
     run = benchmark(run_bench_spec, "table1_mechanisms")
     text = run.artifacts["table1_mechanisms.txt"]
-    save_artifact(out_dir, "table1_mechanisms.txt", text)
     assert "Θ(P)" in text

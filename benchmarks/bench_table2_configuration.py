@@ -1,15 +1,13 @@
 """Table II — cache configuration, plus hierarchy access throughput.
 
 Table II is configuration, not measurement — it is rendered live from the
-Harpertown preset so it cannot drift from the simulated machine.  The
-benchmark measures the cache hierarchy's raw access throughput (the hot
+Harpertown preset by ``benchmarks/specs/table2_configuration.toml``, so
+it cannot drift from the simulated machine.  The benchmark measures the cache hierarchy's raw access throughput (the hot
 path of every experiment in this repo).
 """
 
-import numpy as np
-from conftest import save_artifact
+from conftest import run_bench_spec
 
-from repro.experiments.tables import table2
 from repro.machine.system import System
 from repro.machine.topology import harpertown
 from repro.util.rng import as_rng
@@ -49,7 +47,7 @@ def test_tlb_translate_throughput(benchmark):
     benchmark(run)
 
 
-def test_render_table2(benchmark, out_dir):
-    text = benchmark(table2, harpertown())
-    save_artifact(out_dir, "table2_configuration.txt", text)
+def test_render_table2(benchmark):
+    run = benchmark(run_bench_spec, "table2_configuration")
+    text = run.artifacts["table2_configuration.txt"]
     assert "6144 KiB" in text

@@ -3,19 +3,19 @@
 The paper's observation behind this table: the OS scheduler's arbitrary
 placements make performance *unpredictable* (large execution-time std
 devs), while a fixed communication-aware mapping makes it reproducible.
-We assert that shape on the ensemble aggregate.
+We assert that shape on the ensemble aggregate of
+``benchmarks/specs/table5_stddev.toml`` (fig4's protocol cells).
 """
 
-from conftest import save_artifact
+from conftest import bench_spec, spec_params
 
-from repro.experiments.tables import table5, table5_data
+from repro.experiments.tables import table5_data
 
 
-def test_render_table5(benchmark, suite_results, out_dir):
-    text = benchmark(table5, suite_results)
-    save_artifact(out_dir, "table5_stddev.txt", text)
+def test_render_table5(benchmark):
+    run = bench_spec(benchmark, "table5_stddev", spec_params())
 
-    data = table5_data(suite_results)["Execution time (s)"]
+    data = table5_data(run.results)["Execution time (s)"]
     # Aggregate over benchmarks: OS placements vary wildly; the mapped
     # policies only see trace-seed noise.
     os_spread = sum(row["OS"] for row in data.values())

@@ -1,62 +1,59 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared helpers for the benchmark harness.
 
-The full experiment suite (detection + mapping + performance ensembles for
-all nine NPB kernels) runs **once per pytest session** and is shared by
-every table/figure bench.  Scale and ensemble sizes are tunable via
-environment variables so the same harness serves quick regression runs and
-full reproduction runs:
+Every paper figure, table and parameter ablation a bench renders comes
+from a declarative spec under ``benchmarks/specs/`` (see DESIGN.md §16),
+executed by :func:`run_bench_spec`.
+Specs that agree on a protocol cell's configuration share it through
+the result cache, so one pytest run simulates each cell once.  Scale
+and ensemble sizes are tunable via environment variables so the same
+harness serves quick regression runs and full reproduction runs:
 
     REPRO_BENCH_SCALE        workload scale (default 0.4)
     REPRO_BENCH_OS_RUNS      OS-scheduler ensemble size (default 4)
     REPRO_BENCH_MAPPED_RUNS  repetitions per SM/HM mapping (default 2)
-    REPRO_BENCH_WORKERS      process-pool size for the suite (default 1)
+    REPRO_BENCH_WORKERS      process-pool size for spec cells (default 1)
     REPRO_BENCH_CACHE        result cache: unset/"1" = benchmarks/out/cache,
-                             "0" = disabled, anything else = cache directory
+                             "0" = a fresh cache per pytest run, deleted at exit,
+                             anything else = cache directory
 
 Results are deterministic functions of the configuration, so the on-disk
 cache makes a re-run with unchanged knobs nearly free; delete the cache
 directory (or set REPRO_BENCH_CACHE=0) to force fresh simulation.
 
-Rendered tables/figures are also written to ``benchmarks/out/`` so a bench
+Rendered tables/figures are written to ``benchmarks/out/`` so a bench
 run leaves reviewable artifacts behind.
 """
 
 from __future__ import annotations
 
+import atexit
+import functools
 import os
 import pathlib
+import shutil
+import tempfile
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.specs import SPEC_DIR, load_spec, run_spec
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
 
-def bench_config() -> ExperimentConfig:
-    return ExperimentConfig(
-        scale=float(os.environ.get("REPRO_BENCH_SCALE", "0.4")),
-        os_runs=int(os.environ.get("REPRO_BENCH_OS_RUNS", "4")),
-        mapped_runs=int(os.environ.get("REPRO_BENCH_MAPPED_RUNS", "2")),
-        sm_sample_threshold=6,
-        hm_period_cycles=80_000,
-        seed=2012,
-    )
+@functools.lru_cache(maxsize=None)
+def _run_cache() -> str:
+    path = tempfile.mkdtemp(prefix="repro-bench-cache-")
+    atexit.register(shutil.rmtree, path, True)
+    return path
 
 
-def bench_cache_dir() -> "str | None":
+def bench_cache_dir() -> str:
     raw = os.environ.get("REPRO_BENCH_CACHE", "1")
     if raw == "0":
-        return None
+        return _run_cache()
     if raw == "1":
         return str(OUT_DIR / "cache")
     return raw
-
-
-#: Declarative experiment specs the ported benches execute (see
-#: EXPERIMENTS.md "Declarative experiment specs").
-SPEC_DIR = pathlib.Path(__file__).parent / "specs"
 
 
 def spec_params() -> dict:
@@ -68,28 +65,24 @@ def spec_params() -> dict:
     }
 
 
-def run_bench_spec(name: str, params: "dict | None" = None,
-                   out_dir: "pathlib.Path | None" = None):
-    """Load ``benchmarks/specs/<name>.toml`` and execute it.
-
-    Specs that agree on a cell's configuration (e.g. fig4 and fig6, or a
-    spec and the legacy ``suite_results`` fixture) share results through
-    the on-disk cache, so a bench session simulates each cell once.
-    """
-    from repro.experiments.specs import load_spec, run_spec
-
+def run_bench_spec(name: str, params: "dict | None" = None):
+    """Execute ``benchmarks/specs/<name>.toml``, write its artifacts to
+    ``benchmarks/out/`` and echo the text ones to the console."""
     spec = load_spec(SPEC_DIR / f"{name}.toml")
     workers = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
-    return run_spec(spec, params=params, workers=workers,
-                    cache_dir=bench_cache_dir(), out_dir=out_dir)
+    run = run_spec(spec, params=params, workers=workers,
+                   cache_dir=bench_cache_dir(), out_dir=OUT_DIR)
+    for artifact in sorted(run.artifacts):
+        if not artifact.endswith(".svg"):
+            print(f"\n===== {artifact} =====\n{run.artifacts[artifact]}\n")
+    return run
 
 
-@pytest.fixture(scope="session")
-def suite_results():
-    """One full suite run shared by all table/figure benches."""
-    runner = ExperimentRunner(bench_config(), cache_dir=bench_cache_dir())
-    workers = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
-    return runner.run_suite(verbose=True, workers=workers)
+def bench_spec(benchmark, name: str, params: "dict | None" = None):
+    """:func:`run_bench_spec` timed by pytest-benchmark, in one round (a
+    spec's grid is minutes of simulation when the cache is cold)."""
+    return benchmark.pedantic(run_bench_spec, args=(name, params),
+                              rounds=1, iterations=1)
 
 
 @pytest.fixture(scope="session")

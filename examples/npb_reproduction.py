@@ -3,6 +3,7 @@
 
 Runs the full protocol for a chosen subset of the NAS benchmarks —
 SM + HM detection, hierarchical mapping, OS/SM/HM performance ensembles —
+through the reproduction report's spec (``benchmarks/specs/report.toml``),
 and prints the paper's figures and tables for them, paper value next to
 measured value.
 
@@ -12,12 +13,13 @@ Usage:
     python examples/npb_reproduction.py --full          # all nine (slower)
 """
 
+import dataclasses
 import sys
 
 from repro.experiments import figures, paper_values, tables
-from repro.experiments.config import PAPER_BENCHMARKS, ExperimentConfig
+from repro.experiments.config import PAPER_BENCHMARKS
 from repro.experiments.report import headline_comparison
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.specs import SPEC_DIR, load_spec, run_spec
 
 
 def pick_benchmarks(argv) -> tuple:
@@ -29,18 +31,14 @@ def pick_benchmarks(argv) -> tuple:
 
 def main() -> None:
     benchmarks = pick_benchmarks(sys.argv[1:])
-    config = ExperimentConfig(
-        benchmarks=benchmarks,
-        scale=0.4,
-        os_runs=4,
-        mapped_runs=2,
-        sm_sample_threshold=6,
-        hm_period_cycles=80_000,
-    )
+    spec = dataclasses.replace(load_spec(SPEC_DIR / "report.toml"),
+                               kernels=benchmarks)
+    params = {"scale": 0.4, "os_runs": 4, "mapped_runs": 2}
     print(f"Running {', '.join(b.upper() for b in benchmarks)} "
-          f"at scale {config.scale} ({config.os_runs} OS placements)...\n")
-    runner = ExperimentRunner(config)
-    results = runner.run_suite(verbose=True)
+          f"at scale {params['scale']} ({params['os_runs']} OS placements)...\n")
+    run = run_spec(spec, params=params)
+    print("\n".join(run.rows))
+    results = run.results
 
     print("\n--- Figure 4: SM-detected communication patterns ---------------")
     for name, heatmap in figures.fig4(results).items():

@@ -6,7 +6,7 @@ Commands:
 * ``detect`` — run a detection mechanism on an NPB kernel, print the
   communication heatmap and the derived mapping.
 * ``reproduce`` — run the paper's full protocol on chosen benchmarks and
-  print (or write) the reproduction report.
+  print (or write) the reproduction report (the ``report`` spec).
 * ``record`` / ``replay`` — save a workload's trace to .npz / run a saved
   trace through the simulator.
 * ``ablate`` — run one of the design-choice sweeps (sampling, HM period,
@@ -41,9 +41,7 @@ from repro.core.detection import DetectorConfig
 from repro.core.hm_detector import HardwareManagedDetector
 from repro.core.oracle import OracleDetector, oracle_matrix
 from repro.core.sm_detector import SoftwareManagedDetector
-from repro.experiments.config import PAPER_BENCHMARKS, ExperimentConfig
-from repro.experiments.report import generate_report
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.config import PAPER_BENCHMARKS
 from repro.experiments.tables import table1, table2
 from repro.machine.simulator import Simulator
 from repro.machine.system import System, SystemConfig
@@ -270,18 +268,23 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    benchmarks = tuple(b.lower() for b in args.benchmarks) or PAPER_BENCHMARKS
-    config = ExperimentConfig(
-        benchmarks=benchmarks,
-        scale=args.scale,
-        os_runs=args.os_runs,
-        mapped_runs=args.mapped_runs,
-        seed=args.seed,
-        sm_sample_threshold=6,
-        hm_period_cycles=80_000,
-    )
-    results = ExperimentRunner(config).run_suite(verbose=True)
-    report = generate_report(results)
+    import dataclasses
+
+    from repro.experiments.specs import SPEC_DIR, load_spec, run_spec
+    from repro.util.validation import ValidationError
+
+    spec = load_spec(SPEC_DIR / "report.toml")
+    kernels = tuple(b.lower() for b in args.benchmarks) or spec.kernels
+    try:
+        run = run_spec(
+            dataclasses.replace(spec, kernels=kernels, seeds=(args.seed,)),
+            params={"scale": args.scale, "os_runs": args.os_runs,
+                    "mapped_runs": args.mapped_runs},
+        )
+    except ValidationError as exc:
+        print(f"repro reproduce: {exc}", file=sys.stderr)
+        return 2
+    report = run.artifacts["reproduction_report.md"]
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(report + "\n")
@@ -541,12 +544,12 @@ def _parse_spec_param(text: str) -> tuple:
 def _cmd_run_spec(args: argparse.Namespace) -> int:
     import pathlib
 
-    from repro.experiments.specs import load_spec, run_spec
+    from repro.experiments.specs import SPEC_DIR, load_spec, run_spec
     from repro.util.validation import ValidationError
 
     path = pathlib.Path(args.spec)
     if not path.exists() and path.suffix != ".toml":
-        path = pathlib.Path("benchmarks") / "specs" / f"{args.spec}.toml"
+        path = SPEC_DIR / f"{args.spec}.toml"
     if not path.exists():
         print(f"repro run-spec: no such spec: {args.spec}", file=sys.stderr)
         return 2

@@ -102,6 +102,7 @@ def tlb_geometry_sweep(
     geometries: Sequence[tuple] = ((16, 4), (32, 4), (64, 4), (128, 4), (64, 64)),
     scale: float = 0.5,
     seed: int = 2012,
+    topology: Optional[Topology] = None,
 ) -> List[Dict[str, float]]:
     """Effect of TLB size/associativity on detection accuracy.
 
@@ -109,9 +110,9 @@ def tlb_geometry_sweep(
     matches (false communication); the last geometry (64, 64) is fully
     associative.  The paper's default is (64, 4).
     """
+    topology = topology or harpertown()
     out = []
     for entries, ways in geometries:
-        topo = harpertown()
         cfg = SystemConfig(
             tlb=TLBConfig(entries=entries, ways=ways),
             tlb_management=TLBManagement.SOFTWARE,
@@ -119,7 +120,7 @@ def tlb_geometry_sweep(
         wl = make_npb_workload(workload_name, scale=scale,
                                seed=derive_seed(seed, workload_name, "tlbsweep"))
         det = SoftwareManagedDetector(8, DetectorConfig(sm_sample_threshold=4))
-        res = Simulator(System(topo, cfg)).run(wl, detectors=[det])
+        res = Simulator(System(topology, cfg)).run(wl, detectors=[det])
         wl_oracle = make_npb_workload(workload_name, scale=scale,
                                       seed=derive_seed(seed, workload_name, "tlbsweep"))
         oracle = oracle_matrix(wl_oracle)
@@ -139,6 +140,7 @@ def page_size_sweep(
     scale: float = 0.3,
     seed: int = 2012,
     hm_period: int = 60_000,
+    topology: Optional[Topology] = None,
 ) -> List[Dict[str, float]]:
     """Detection quality vs. page size (both mechanisms).
 
@@ -148,6 +150,7 @@ def page_size_sweep(
     """
     from repro.tlb.pagetable import PageTableConfig
 
+    topology = topology or harpertown()
     truth = oracle_matrix(
         make_npb_workload(workload_name, scale=scale,
                           seed=derive_seed(seed, workload_name, "pagesweep")),
@@ -161,7 +164,7 @@ def page_size_sweep(
             tlb_management=TLBManagement.SOFTWARE,
         )
         sm = SoftwareManagedDetector(8, DetectorConfig(sm_sample_threshold=4))
-        res = Simulator(System(harpertown(), sm_cfg)).run(
+        res = Simulator(System(topology, sm_cfg)).run(
             make_npb_workload(workload_name, scale=scale,
                               seed=derive_seed(seed, workload_name, "pagesweep")),
             detectors=[sm],
@@ -171,7 +174,7 @@ def page_size_sweep(
             page_table=PageTableConfig(page_size=ps),
         )
         hm = HardwareManagedDetector(8, DetectorConfig(hm_period_cycles=hm_period))
-        Simulator(System(harpertown(), hm_cfg)).run(
+        Simulator(System(topology, hm_cfg)).run(
             make_npb_workload(workload_name, scale=scale,
                               seed=derive_seed(seed, workload_name, "pagesweep")),
             detectors=[hm],
@@ -191,12 +194,15 @@ def l2_tlb_sweep(
     l2_entries: Sequence["int | None"] = (None, 128, 512, 2048),
     scale: float = 0.3,
     seed: int = 2012,
+    topology: Optional[Topology] = None,
 ) -> List[Dict[str, float]]:
     """Effect of a second-level TLB on the SM mechanism's sample stream.
 
     L2-TLB hits refill the L1 TLB without a trap, so only walk-level
     misses feed SM — Nehalem-class cores thin the signal considerably.
+    ``None`` or 0 entries means no L2 TLB.
     """
+    topology = topology or harpertown()
     truth = oracle_matrix(
         make_npb_workload(workload_name, scale=scale,
                           seed=derive_seed(seed, workload_name, "l2tlb"))
@@ -208,7 +214,7 @@ def l2_tlb_sweep(
             l2_tlb=(TLBConfig(entries=entries, ways=4) if entries else None),
         )
         det = SoftwareManagedDetector(8, DetectorConfig(sm_sample_threshold=4))
-        system = System(harpertown(), cfg)
+        system = System(topology, cfg)
         Simulator(system).run(
             make_npb_workload(workload_name, scale=scale,
                               seed=derive_seed(seed, workload_name, "l2tlb")),

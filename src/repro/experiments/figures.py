@@ -111,23 +111,3 @@ def figure_svg(results: Mapping[str, BenchmarkResult], number: int) -> str:
         title=f"Figure {number}: {title} (normalized to OS)",
         series_order=("OS", "SM", "HM"),
     )
-
-
-def fig6(results: Mapping[str, BenchmarkResult]) -> str:
-    """Figure 6: normalized execution time."""
-    return render_figure(results, 6)
-
-
-def fig7(results: Mapping[str, BenchmarkResult]) -> str:
-    """Figure 7: normalized invalidations."""
-    return render_figure(results, 7)
-
-
-def fig8(results: Mapping[str, BenchmarkResult]) -> str:
-    """Figure 8: normalized snoop transactions."""
-    return render_figure(results, 8)
-
-
-def fig9(results: Mapping[str, BenchmarkResult]) -> str:
-    """Figure 9: normalized L2 cache misses."""
-    return render_figure(results, 9)

@@ -19,7 +19,7 @@ Per benchmark:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.commmatrix import CommunicationMatrix
@@ -107,8 +107,6 @@ class ExperimentRunner:
         #: random stream derives from (seed, benchmark, run label) — a
         #: result is a pure function of (config, topology, name).
         self.cache = ResultCache(cache_dir) if cache_dir else None
-        #: Process pools rebuilt after a worker death (suite-level retry).
-        self.pool_rebuilds = 0
 
     # -- pieces -------------------------------------------------------------------
 
@@ -266,54 +264,6 @@ class ExperimentRunner:
             wall_seconds=time.perf_counter() - t0,
         )
 
-    def run_suite(
-        self,
-        benchmarks: Optional[Sequence[str]] = None,
-        verbose: bool = False,
-        workers: int = 1,
-    ) -> Dict[str, BenchmarkResult]:
-        """Run the whole benchmark set; returns {name: BenchmarkResult}.
-
-        ``workers > 1`` fans the (independent) benchmarks out as cells of
-        the spec runner's process pool (:func:`~repro.experiments.specs.
-        steal_cells`: worker deaths requeue once, counted in
-        :attr:`pool_rebuilds`).  Results are bit-identical to the serial
-        run: every random stream is derived from (seed, benchmark, run
-        label), never from execution order.
-        """
-        names = list(benchmarks or self.config.benchmarks)
-        out: Dict[str, BenchmarkResult] = {}
-        if workers <= 1 or len(names) <= 1:
-            for name in names:
-                out[name] = self.run_benchmark(name)
-                if verbose:  # pragma: no cover - console convenience
-                    self._progress(out[name])
-            return out
-        from repro.experiments.specs import steal_cells  # specs imports this module
-
-        cache_dir = str(self.cache.root) if self.cache is not None else None
-        tasks = {
-            name: ("benchmark", self.config, self.topology, name, cache_dir)
-            for name in names
-        }
-        out = steal_cells(tasks, workers, on_rebuild=self._pool_rebuilt)
-        if verbose:  # pragma: no cover - console convenience
-            for name in names:
-                self._progress(out[name])
-        return out
-
-    def _pool_rebuilt(self, error: BaseException) -> None:
-        self.pool_rebuilds += 1
-
-    @staticmethod
-    def _progress(r: BenchmarkResult) -> None:  # pragma: no cover - console
-        """One status line per finished benchmark."""
-        print(
-            f"{r.name}: exec SM/OS = {r.normalized_mean('SM', 'execution_seconds'):.3f}, "
-            f"HM/OS = {r.normalized_mean('HM', 'execution_seconds'):.3f} "
-            f"({r.wall_seconds:.1f}s wall)"
-        )
-
 
 def _run_benchmark_task(
     config: ExperimentConfig,
@@ -325,7 +275,7 @@ def _run_benchmark_task(
 
     The fault site lets chaos tests kill a pool worker deterministically
     (a `hard` crash event with a latch file fires exactly once across
-    the forked children) and prove the suite-level requeue path.
+    the forked children) and prove the spec runner's requeue path.
     """
     from repro.faults.injector import get_injector
     from repro.faults.plan import SITE_RUNNER_BENCHMARK

@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import sys
 import tempfile
-from pathlib import Path
 
-from repro.experiments.specs import load_spec, run_spec
+from repro.experiments.specs import SPEC_DIR, load_spec, run_spec
 
-SPEC = Path(__file__).resolve().parents[3] / "benchmarks" / "specs" / \
-    "ablation_sampling.toml"
+SPEC = SPEC_DIR / "ablation_sampling.toml"
 PARAMS = {"scale": 0.08}
 
 

@@ -2,12 +2,13 @@
 
 A spec is a small frozen dataclass — kernels x topologies x mechanisms x
 seeds x config overrides — that round-trips through TOML and is executed
-by one generalized runner instead of a hand-rolled ``bench_*.py`` sweep
-script.  The runner fans independent *cells* (one benchmark protocol run
-or one ablation sweep point) out over a work-stealing process pool and
-memoizes every cell through :mod:`repro.experiments.cache` config-hash
-keys, so any two specs — or a spec and the legacy suite fixture — that
-agree on a cell's configuration share one simulation, cluster-wide.
+by one generalized runner.  Every paper artifact the benches render
+(Figures 4-9, Tables I-V, the reproduction report and the parameter
+ablations) comes from a spec under :data:`SPEC_DIR`.  The runner fans
+independent *cells* (one benchmark protocol run or one ablation sweep
+point) out over a work-stealing process pool and memoizes every cell
+through :mod:`repro.experiments.cache` config-hash keys, so any two specs
+that agree on a cell's configuration share one simulation, cluster-wide.
 
 Four pipelines cover the bench corpus:
 
@@ -19,8 +20,8 @@ Four pipelines cover the bench corpus:
     on-disk memoization and fault sites.
 ``ablation``
     One knob swept over ``spec.sweep`` values; each sweep point is an
-    independently memoized cell (``variant`` picks the routine, e.g.
-    ``sm_sampling``).
+    independently memoized cell (``variant`` picks the routine and its
+    table from :data:`ABLATION_AXES`).
 ``engine``
     The scalar-vs-batched engine parity + speedup smoke.  Counter rows
     are deterministic and asserted bit-identical; wall timings are
@@ -28,20 +29,22 @@ Four pipelines cover the bench corpus:
 ``static``
     Render-only reports (Table I/II) with no simulation cells.
 
-Reports are declared by name in the spec and rendered byte-identically
-to the legacy scripts' artifacts — the differential golden harness in
-``tests/experiments/test_spec_differential.py`` holds that line.
+Reports are declared by name in the spec.  Their rendered bytes at CI
+scale are pinned by ``tests/experiments/data/spec_golden.json``, which
+was written by the hand-rolled bench scripts the specs replaced.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import tomllib
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.experiments.cache import ResultCache, config_key
 from repro.experiments.config import PAPER_BENCHMARKS, ExperimentConfig
@@ -56,21 +59,73 @@ from repro.util.validation import ValidationError
 #: contracts).  Written into dumped TOML as ``schema``.
 SPEC_SCHEMA = 1
 
+#: The spec corpus: ``repro run-spec NAME`` and the benches resolve a
+#: bare spec name to ``SPEC_DIR / f"{NAME}.toml"``.
+SPEC_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "specs"
+
+
+def _multi_level_2x4x2(cache_scale: float = 1.0) -> Topology:
+    """16 cores: pairs on an L2, four L2s per chip, two chips."""
+    return dataclasses.replace(harpertown(cache_scale), l2_per_chip=4)
+
+
 #: Topology axis registry: name -> factory(cache_scale) -> Topology.
 TOPOLOGIES: Dict[str, Callable[..., Topology]] = {
     "harpertown": harpertown,
     "nehalem": nehalem,
+    "multi_level_2x4x2": _multi_level_2x4x2,
 }
 
 #: Execution pipelines a spec may select.
 PIPELINES = ("protocol", "ablation", "engine", "static")
 
-#: Ablation variants: name -> (sweep axis, runner).  Runners live in
-#: :mod:`repro.experiments.ablations`; each is a pure function of its
+
+@dataclass(frozen=True)
+class AblationAxis:
+    """One ablation variant: what it sweeps and how its table reads.
+
+    The runner is ``repro.experiments.ablations.<variant>_sweep``, called
+    with ``{sweep: (point,)}`` plus ``scale``, ``seed`` and ``topology``.
+    """
+
+    #: The spec's ``[sweep]`` key, e.g. ``thresholds``.
+    sweep: str
+    #: Record fields that hold a sweep point; a point has one number per
+    #: key (``tlb_geometry`` points are ``[entries, ways]`` pairs).
+    keys: Tuple[str, ...]
+    header: Tuple[str, ...]
+    row: Callable[[Mapping[str, float]], List[object]]
+
+
+#: Ablation variants by name.  Each routine is a pure function of its
 #: arguments, which is what makes per-point memoization sound.
-ABLATION_AXES: Dict[str, str] = {
-    "sm_sampling": "thresholds",
-    "hm_period": "periods",
+ABLATION_AXES: Dict[str, AblationAxis] = {
+    "sm_sampling": AblationAxis(
+        "thresholds", ("threshold",),
+        ("n (sample 1/n misses)", "accuracy (Pearson)", "overhead", "searches"),
+        lambda r: [int(r["threshold"]), f"{r['accuracy']:.3f}",
+                   f"{100 * r['overhead']:.3f}%", int(r["searches"])]),
+    "hm_period": AblationAxis(
+        "periods", ("period",),
+        ("period (cycles)", "scans", "accuracy (Pearson)", "overhead"),
+        lambda r: [int(r["period"]), int(r["scans"]), f"{r['accuracy']:.3f}",
+                   f"{100 * r['overhead']:.3f}%"]),
+    "tlb_geometry": AblationAxis(
+        "geometries", ("entries", "ways"),
+        ("entries", "ways", "accuracy", "miss rate", "matches"),
+        lambda r: [int(r["entries"]), int(r["ways"]), f"{r['accuracy']:.3f}",
+                   f"{100 * r['tlb_miss_rate']:.3f}%", int(r["matches"])]),
+    "page_size": AblationAxis(
+        "page_sizes", ("page_size",),
+        ("page size", "TLB miss rate", "SM matches", "SM accuracy", "HM accuracy"),
+        lambda r: [f"{int(r['page_size']) // 1024} KiB",
+                   f"{100 * r['miss_rate']:.3f}%", int(r["sm_matches"]),
+                   f"{r['sm_accuracy']:.2f}", f"{r['hm_accuracy']:.2f}"]),
+    "l2_tlb": AblationAxis(
+        "l2_entries", ("l2_entries",),
+        ("L2-TLB entries", "page walks", "SM searches", "SM accuracy"),
+        lambda r: ["none" if r["l2_entries"] == 0 else str(int(r["l2_entries"])),
+                   int(r["walks"]), int(r["searches"]), f"{r['accuracy']:.2f}"]),
 }
 
 #: Detection mechanisms the paper compares.
@@ -94,12 +149,14 @@ ENGINE_COMPARED_FIELDS = (
 )
 
 #: ExperimentConfig fields a spec's ``overrides`` (or runtime params) may
-#: set.  ``benchmarks`` and ``seed`` are spec axes (``kernels``/``seeds``),
-#: not overridable knobs.
-_CONFIG_FIELDS = tuple(
-    f.name for f in dataclasses.fields(ExperimentConfig)
-    if f.name not in ("benchmarks", "seed")
-)
+#: set, each with the type its value must have (a float knob also takes
+#: an integer).  ``benchmarks`` and ``seed`` are spec axes
+#: (``kernels``/``seeds``), not overridable knobs.
+_CONFIG_FIELDS: Dict[str, type] = {
+    name: float if hint is float else int
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+    if name not in ("benchmarks", "seed")
+}
 
 #: Runtime-only parameters (never part of a spec file): pipeline extras.
 _EXTRA_PARAMS = ("speedup_floor", "engine_repeats")
@@ -110,13 +167,28 @@ def _check(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def _is_number(value: Any) -> bool:
+    """A TOML integer or finite float (bool is an int subclass: excluded)."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _is_point(point: Any, arity: int) -> bool:
+    """A sweep point: ``arity`` non-negative numbers (a bare one if 1)."""
+    values = (point,) if arity == 1 else point
+    return (isinstance(values, tuple) and len(values) == arity
+            and all(_is_number(v) and v >= 0 for v in values))
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One declarative experiment: axes, overrides, and report names.
 
     Frozen and order-insensitively comparable; ``loads_spec(dumps_spec(s))
     == s`` is a tested identity.  Validation happens at construction, so
-    a spec object in hand is always well-formed.
+    a spec object in hand is always well-formed: every field has its
+    type, and :meth:`config` succeeds.
     """
 
     name: str
@@ -127,9 +199,9 @@ class ExperimentSpec:
     topologies: Tuple[str, ...] = ("harpertown",)
     mechanisms: Tuple[str, ...] = MECHANISMS
     seeds: Tuple[int, ...] = (2012,)
-    #: Sweep axis -> values (ablation pipeline only), e.g.
+    #: Sweep axis -> points (ablation pipeline only), e.g.
     #: ``{"thresholds": (1, 4, 16)}``.
-    sweep: Mapping[str, Tuple[float, ...]] = field(default_factory=dict)
+    sweep: Mapping[str, Tuple[Any, ...]] = field(default_factory=dict)
     #: ExperimentConfig field overrides baked into the spec's identity.
     overrides: Mapping[str, Any] = field(default_factory=dict)
     #: Report names from :data:`REPORTS` rendered after the cells finish.
@@ -137,15 +209,27 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         coerce = object.__setattr__
-        for f in ("kernels", "topologies", "mechanisms", "reports"):
-            coerce(self, f, tuple(getattr(self, f)))
-        coerce(self, "seeds", tuple(int(s) for s in self.seeds))
-        coerce(self, "sweep", {str(k): tuple(v) for k, v in dict(self.sweep).items()})
+        for f in ("kernels", "topologies", "mechanisms", "seeds", "reports"):
+            value = getattr(self, f)
+            _check(isinstance(value, (list, tuple)),
+                   f"{f} must be a list, got {value!r}")
+            coerce(self, f, tuple(value))
+        for f in ("sweep", "overrides"):
+            value = getattr(self, f)
+            _check(isinstance(value, Mapping), f"{f} must be a table, got {value!r}")
+        for axis, points in self.sweep.items():
+            _check(isinstance(points, (list, tuple)),
+                   f"sweep axis {axis!r} must be a list, got {points!r}")
+        coerce(self, "sweep", {
+            str(axis): tuple(tuple(p) if isinstance(p, list) else p for p in points)
+            for axis, points in self.sweep.items()
+        })
         coerce(self, "overrides", dict(self.overrides))
         self._validate()
 
     def _validate(self) -> None:
-        _check(bool(self.name) and not set(self.name) - _NAME_ALPHABET,
+        _check(isinstance(self.name, str) and bool(self.name)
+               and not set(self.name) - _NAME_ALPHABET,
                f"spec name {self.name!r} must be non-empty [a-z0-9_-]")
         _check(self.pipeline in PIPELINES,
                f"unknown pipeline {self.pipeline!r} (expected one of {PIPELINES})")
@@ -154,32 +238,38 @@ class ExperimentSpec:
         _check(len(set(self.kernels)) == len(self.kernels), "duplicate kernels")
         _check(bool(self.topologies), "spec needs at least one topology")
         for t in self.topologies:
-            _check(t in TOPOLOGIES,
+            _check(isinstance(t, str) and t in TOPOLOGIES,
                    f"unknown topology {t!r} (expected one of {sorted(TOPOLOGIES)})")
         for m in self.mechanisms:
             _check(m in MECHANISMS, f"unknown mechanism {m!r}")
         _check(bool(self.seeds), "spec needs at least one seed")
         for s in self.seeds:
-            _check(s >= 0, f"seed {s} must be >= 0")
+            _check(isinstance(s, int) and not isinstance(s, bool) and s >= 0,
+                   f"seed {s!r} must be an integer >= 0")
         if self.pipeline == "ablation":
-            _check(self.variant in ABLATION_AXES,
+            _check(isinstance(self.variant, str) and self.variant in ABLATION_AXES,
                    f"unknown ablation variant {self.variant!r} "
                    f"(expected one of {sorted(ABLATION_AXES)})")
             axis = ABLATION_AXES[self.variant]
-            _check(set(self.sweep) == {axis},
-                   f"ablation {self.variant!r} sweeps exactly one axis {axis!r}, "
-                   f"got {sorted(self.sweep)}")
-            _check(bool(self.sweep[axis]), f"sweep axis {axis!r} is empty")
+            _check(set(self.sweep) == {axis.sweep},
+                   f"ablation {self.variant!r} sweeps exactly one axis "
+                   f"{axis.sweep!r}, got {sorted(self.sweep)}")
+            points = self.sweep[axis.sweep]
+            _check(bool(points), f"sweep axis {axis.sweep!r} is empty")
+            for p in points:
+                _check(_is_point(p, len(axis.keys)),
+                       f"sweep axis {axis.sweep!r} point {p!r} must be "
+                       f"{len(axis.keys)} non-negative number(s)")
         else:
             _check(self.variant == "",
                    f"variant is only valid for the ablation pipeline, got {self.variant!r}")
             _check(not self.sweep, "sweep is only valid for the ablation pipeline")
         if self.pipeline in ("protocol", "ablation", "engine"):
             _check(bool(self.kernels), f"{self.pipeline} spec needs at least one kernel")
-        validate_overrides(self.overrides)
         for r in self.reports:
-            _check(r in REPORTS,
+            _check(isinstance(r, str) and r in REPORTS,
                    f"unknown report {r!r} (expected one of {sorted(REPORTS)})")
+        self.config()
 
     # -- derived --------------------------------------------------------------
 
@@ -188,26 +278,41 @@ class ExperimentSpec:
         seed: Optional[int] = None,
         params: Optional[Mapping[str, Any]] = None,
     ) -> ExperimentConfig:
-        """The ExperimentConfig for one seed, params layered over overrides."""
+        """The ExperimentConfig for one seed, params layered over overrides.
+
+        Raises :class:`ValidationError` when an override or param has the
+        wrong type or is out of the config's range.
+        """
         merged: Dict[str, Any] = dict(self.overrides)
         for k, v in dict(params or {}).items():
             if k in _CONFIG_FIELDS:
                 merged[k] = v
-        return ExperimentConfig(
-            benchmarks=self.kernels or PAPER_BENCHMARKS,
-            seed=self.seeds[0] if seed is None else seed,
-            **merged,
-        )
+        validate_overrides(merged)
+        try:
+            return ExperimentConfig(
+                benchmarks=self.kernels or PAPER_BENCHMARKS,
+                seed=self.seeds[0] if seed is None else seed,
+                **merged,
+            )
+        except ValueError as exc:
+            raise ValidationError(f"spec {self.name!r}: {exc}") from exc
 
 
 _NAME_ALPHABET = set("abcdefghijklmnopqrstuvwxyz0123456789_-")
 
 
 def validate_overrides(overrides: Mapping[str, Any]) -> None:
-    """Reject override keys that are not ExperimentConfig knobs."""
+    """Reject override keys that are not ExperimentConfig knobs, and
+    values that do not have the knob's type."""
     unknown = sorted(set(overrides) - set(_CONFIG_FIELDS))
     _check(not unknown,
            f"unknown override key(s) {unknown} (valid: {sorted(_CONFIG_FIELDS)})")
+    for key, value in overrides.items():
+        if _CONFIG_FIELDS[key] is float:
+            _check(_is_number(value), f"override {key} = {value!r} must be a number")
+        else:
+            _check(isinstance(value, int) and not isinstance(value, bool),
+                   f"override {key} = {value!r} must be an integer")
 
 
 # -- TOML round-trip ---------------------------------------------------------
@@ -304,7 +409,7 @@ class SpecRun:
     grid: Dict[Tuple[str, int], Dict[str, BenchmarkResult]]
     #: Deterministic one-line-per-cell summary (stable across runs).
     rows: List[str]
-    #: Rendered artifacts, byte-identical to the legacy bench outputs.
+    #: Rendered artifacts: {file name: text}.
     artifacts: Dict[str, str]
     cache_hits: int = 0
     cache_misses: int = 0
@@ -329,6 +434,8 @@ def run_spec(
     params = dict(params or {})
     unknown = sorted(set(params) - set(_CONFIG_FIELDS) - set(_EXTRA_PARAMS))
     _check(not unknown, f"unknown runtime param(s) {unknown}")
+    for k in _EXTRA_PARAMS:
+        _check(_is_number(params.get(k, 0)), f"param {k} = {params.get(k)!r} must be a number")
     cache = ResultCache(cache_dir, max_bytes=cache_bytes) if cache_dir else None
     run = _PIPELINE_RUNNERS[spec.pipeline](spec, params, workers, cache)
     for name in spec.reports:
@@ -422,7 +529,7 @@ def _ablation_cell(
 
     Sweep routines build fresh workloads per point from a seed derived
     only from (seed, kernel), so a single-point call returns exactly the
-    record the full legacy sweep would have produced at that point.
+    record a full sweep would have produced at that point.
     """
     from repro.experiments import ablations
 
@@ -434,7 +541,7 @@ def _ablation_cell(
         if isinstance(hit, dict):
             return hit
     sweep = getattr(ablations, f"{variant}_sweep")
-    axis = ABLATION_AXES[variant]
+    axis = ABLATION_AXES[variant].sweep
     kwargs = {axis: (point,), "scale": scale, "seed": seed, "topology": topology}
     record = sweep(kernel, **kwargs)[0]
     if cache is not None:
@@ -461,6 +568,7 @@ def _run_protocol(
     cache: Optional[ResultCache],
 ) -> SpecRun:
     cache_dir = str(cache.root) if cache is not None else None
+    reg = global_registry()
     grid: Dict[Tuple[str, int], Dict[str, BenchmarkResult]] = {}
     hits = misses = 0
     tasks: Dict[Tuple[str, int, str], Tuple[Any, ...]] = {}
@@ -470,10 +578,14 @@ def _run_protocol(
             topology = TOPOLOGIES[topo_name](cache_scale=config.cache_scale)
             runner = ExperimentRunner(config, topology, cache_dir=cache_dir)
             grid[(topo_name, seed)] = {}
-            for kernel in spec.kernels or PAPER_BENCHMARKS:
+            for kernel in spec.kernels:
                 if cache is not None:
                     warm = cache.get(runner.benchmark_key(kernel))
                     if isinstance(warm, BenchmarkResult):
+                        # Counted as ExperimentRunner.run_benchmark counts
+                        # a result it serves from the cache.
+                        reg.counter("runner_benchmarks_total").inc()
+                        reg.counter("runner_cache_hits_total").inc()
                         grid[(topo_name, seed)][kernel] = warm
                         hits += 1
                         continue
@@ -485,10 +597,10 @@ def _run_protocol(
     for (topo_name, seed, kernel), result in fresh.items():
         grid[(topo_name, seed)][kernel] = result
     primary_key = (spec.topologies[0], spec.seeds[0])
-    results = {k: grid[primary_key][k] for k in (spec.kernels or PAPER_BENCHMARKS)}
+    results = {k: grid[primary_key][k] for k in spec.kernels}
     rows = []
     for (topo_name, seed), cells in grid.items():
-        for kernel in (spec.kernels or PAPER_BENCHMARKS):
+        for kernel in spec.kernels:
             r = cells[kernel]
             rows.append(
                 f"{topo_name}:{seed}:{kernel} "
@@ -509,7 +621,7 @@ def _run_ablation(
     cache_dir = str(cache.root) if cache is not None else None
     config = spec.config(params=params)
     axis = ABLATION_AXES[spec.variant]
-    points = spec.sweep[axis]
+    points = spec.sweep[axis.sweep]
     kernel = spec.kernels[0]
     seed = spec.seeds[0]
     topology = TOPOLOGIES[spec.topologies[0]](cache_scale=config.cache_scale)
@@ -531,11 +643,11 @@ def _run_ablation(
     broken: List[BaseException] = []
     records.update(steal_cells(tasks, workers, on_rebuild=broken.append))
     ordered = [records[p] for p in points]
-    axis_key = axis[:-1] if axis.endswith("s") else axis
     rows = [
-        f"{kernel} {axis_key}={p:g} "
-        + " ".join(f"{k}={v:.6f}" for k, v in sorted(rec.items()) if k != axis_key)
-        for p, rec in zip(points, ordered)
+        " ".join([kernel] + [f"{k}={rec[k]:g}" for k in axis.keys]
+                 + [f"{k}={v:.6f}" for k, v in sorted(rec.items())
+                    if k not in axis.keys])
+        for rec in ordered
     ]
     return SpecRun(spec=spec, config=config, results=ordered, grid={},
                    rows=rows, artifacts={}, cache_hits=hits,
@@ -626,28 +738,29 @@ _PIPELINE_RUNNERS: Dict[str, Callable[..., SpecRun]] = {
 # -- reports -----------------------------------------------------------------
 #
 # Each report maps a finished SpecRun to {artifact filename: text}.  The
-# texts are byte-identical to what the legacy bench scripts wrote; the
-# differential harness compares them against fresh transcriptions of the
-# pre-port pipelines.
+# file names are the tracked ``benchmarks/out/`` artifacts.
 
-def _report_fig4(run: SpecRun) -> Dict[str, str]:
-    from repro.experiments.figures import fig4, heatmap_svgs
 
-    maps = fig4(run.results)
-    out = {"fig4_sm_patterns.txt": "\n\n".join(maps[n] for n in sorted(maps))}
-    mechanism = run.spec.mechanisms[0] if run.spec.mechanisms else "SM"
-    for name, svg in heatmap_svgs(run.results, mechanism).items():
-        out[f"fig4_{name}.svg"] = svg
-    return out
+def _pattern_report(number: int, stem: str) -> Callable[[SpecRun], Dict[str, str]]:
+    """Figures 4/5: one heatmap (text + SVG) per kernel, for the spec's
+    first mechanism."""
+    def render(run: SpecRun) -> Dict[str, str]:
+        from repro.experiments.figures import communication_heatmaps, heatmap_svgs
+
+        mechanism = (run.spec.mechanisms or MECHANISMS)[0]
+        maps = communication_heatmaps(run.results, mechanism)
+        out = {f"fig{number}_{stem}.txt": "\n\n".join(maps[n] for n in sorted(maps))}
+        for name, svg in heatmap_svgs(run.results, mechanism).items():
+            out[f"fig{number}_{name}.svg"] = svg
+        return out
+    return render
 
 
 def _figure_report(number: int, stem: str) -> Callable[[SpecRun], Dict[str, str]]:
     def render(run: SpecRun) -> Dict[str, str]:
-        from repro.experiments import figures
-        from repro.experiments.figures import figure_svg
+        from repro.experiments.figures import figure_svg, render_figure
 
-        text = getattr(figures, f"fig{number}")(run.results)
-        return {f"fig{number}_{stem}.txt": text,
+        return {f"fig{number}_{stem}.txt": render_figure(run.results, number),
                 f"fig{number}_{stem}.svg": figure_svg(run.results, number)}
     return render
 
@@ -662,7 +775,7 @@ def _report_table2(run: SpecRun) -> Dict[str, str]:
     from repro.experiments.tables import table2
 
     topology = TOPOLOGIES[run.spec.topologies[0]](cache_scale=run.config.cache_scale)
-    return {"table2_machine.txt": table2(topology)}
+    return {"table2_configuration.txt": table2(topology)}
 
 
 def _table_report(number: int, stem: str) -> Callable[[SpecRun], Dict[str, str]]:
@@ -674,24 +787,31 @@ def _table_report(number: int, stem: str) -> Callable[[SpecRun], Dict[str, str]]
     return render
 
 
+def _report_reproduction(run: SpecRun) -> Dict[str, str]:
+    from repro.experiments.report import generate_report
+
+    return {"reproduction_report.md": generate_report(run.results)}
+
+
 def _report_ablation(run: SpecRun) -> Dict[str, str]:
     from repro.util.render import format_table
 
-    if run.spec.variant == "sm_sampling":
-        rows = [
-            [int(r["threshold"]), f"{r['accuracy']:.3f}",
-             f"{100 * r['overhead']:.3f}%", int(r["searches"])]
-            for r in run.results
-        ]
-        text = format_table(
-            rows, header=["n (sample 1/n misses)", "accuracy (Pearson)",
-                          "overhead", "searches"])
-        return {"ablation_sm_sampling.txt": text}
-    rows = [
-        [f"{v:g}" for _, v in sorted(r.items())] for r in run.results
-    ]
-    text = format_table(rows, header=sorted(run.results[0]))
+    axis = ABLATION_AXES[run.spec.variant]
+    text = format_table([axis.row(r) for r in run.results], header=axis.header)
     return {f"ablation_{run.spec.variant}.txt": text}
+
+
+def _report_16core(run: SpecRun) -> Dict[str, str]:
+    from repro.util.render import format_table
+
+    rows = [
+        [name.upper()] + [f"{r.normalized_mean('SM', metric):.3f}" for metric in
+                          ("execution_seconds", "invalidations", "snoop_transactions")]
+        for name, r in run.results.items()
+    ]
+    text = format_table(rows, header=["bench (16 threads)", "time vs OS",
+                                      "inval vs OS", "snoops vs OS"])
+    return {"ext_16core_suite.txt": text}
 
 
 def _report_noise_variance(run: SpecRun) -> Dict[str, str]:
@@ -716,17 +836,20 @@ def _report_engine_speedup(run: SpecRun) -> Dict[str, str]:
 
 
 REPORTS: Dict[str, Callable[[SpecRun], Dict[str, str]]] = {
-    "fig4": _report_fig4,
+    "fig4": _pattern_report(4, "sm_patterns"),
+    "fig5": _pattern_report(5, "hm_patterns"),
     "fig6": _figure_report(6, "exec_time"),
     "fig7": _figure_report(7, "invalidations"),
     "fig8": _figure_report(8, "snoops"),
     "fig9": _figure_report(9, "l2_misses"),
     "table1": _report_table1,
     "table2": _report_table2,
-    "table3": _table_report(3, "accuracy"),
+    "table3": _table_report(3, "sm_overhead"),
     "table4": _table_report(4, "absolute"),
-    "table5": _table_report(5, "variability"),
+    "table5": _table_report(5, "stddev"),
+    "report": _report_reproduction,
     "ablation": _report_ablation,
+    "16core": _report_16core,
     "noise_variance": _report_noise_variance,
     "engine_speedup": _report_engine_speedup,
 }

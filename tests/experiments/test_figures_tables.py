@@ -13,7 +13,8 @@ def tiny_results():
         benchmarks=("bt", "ep"), scale=0.12, os_runs=2, mapped_runs=1,
         sm_sample_threshold=3, hm_period_cycles=40_000, seed=9,
     )
-    return ExperimentRunner(cfg).run_suite()
+    runner = ExperimentRunner(cfg)
+    return {name: runner.run_benchmark(name) for name in cfg.benchmarks}
 
 
 class TestHeatmapFigures:
@@ -39,7 +40,7 @@ class TestBarFigures:
             assert set(row) == {"OS", "SM", "HM"}
 
     def test_render_contains_benchmarks(self, tiny_results):
-        text = figures.fig6(tiny_results)
+        text = figures.render_figure(tiny_results, 6)
         assert "Figure 6" in text
         assert "BT" in text and "EP" in text
 

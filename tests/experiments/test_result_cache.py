@@ -11,6 +11,7 @@ import pytest
 from repro.experiments.cache import CACHE_SCHEMA, ResultCache, _canonical, config_key
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import BenchmarkResult, ExperimentRunner
+from repro.experiments.specs import ExperimentSpec, run_spec
 from repro.machine.topology import harpertown, nehalem
 
 
@@ -214,11 +215,17 @@ class TestRunnerIntegration:
         assert a.benchmark_key("ep") != b.benchmark_key("ep")
 
     def test_parallel_suite_uses_cache(self, tmp_path):
-        cfg = dataclasses.replace(TINY, benchmarks=("ep", "ft"))
-        runner = ExperimentRunner(cfg, cache_dir=str(tmp_path))
-        first = runner.run_suite(workers=2)
-        assert len(runner.cache) == 2
-        second = runner.run_suite(workers=2)
+        spec = ExperimentSpec(
+            name="tiny", kernels=("ep", "ft"), seeds=(TINY.seed,),
+            overrides={k: getattr(TINY, k) for k in (
+                "scale", "os_runs", "mapped_runs", "sm_sample_threshold",
+                "hm_period_cycles")},
+        )
+        cold = run_spec(spec, workers=2, cache_dir=str(tmp_path))
+        assert len(ResultCache(tmp_path)) == 2
+        warm = run_spec(spec, workers=2, cache_dir=str(tmp_path))
+        assert (warm.cache_hits, warm.cache_misses) == (2, 0)
+        first, second = cold.results, warm.results
         for name in first:
             assert first[name].runs["OS"].results[0].execution_cycles == \
                    second[name].runs["OS"].results[0].execution_cycles

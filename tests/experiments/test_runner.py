@@ -4,6 +4,8 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import BenchmarkResult, ExperimentRunner, MappingRuns
+from repro.experiments.specs import ExperimentSpec, run_spec
+from repro.obs.metrics import global_registry
 
 TINY = ExperimentConfig(
     benchmarks=("bt",),
@@ -92,15 +94,18 @@ class TestNormalizedMean:
         assert r.normalized_mean("SM", "execution_seconds") == float("inf")
 
 
+def _spec(kernels, seed=5) -> ExperimentSpec:
+    return ExperimentSpec(name="tiny", kernels=kernels, seeds=(seed,), overrides={
+        "scale": 0.1, "os_runs": 1, "mapped_runs": 1,
+        "sm_sample_threshold": 4, "hm_period_cycles": 40_000,
+    })
+
+
 class TestParallelSuite:
     def test_workers_equal_serial(self):
-        cfg = ExperimentConfig(
-            benchmarks=("ep", "ft"), scale=0.1, os_runs=1, mapped_runs=1,
-            sm_sample_threshold=4, hm_period_cycles=40_000, seed=3,
-        )
-        runner = ExperimentRunner(cfg)
-        serial = runner.run_suite()
-        parallel = runner.run_suite(workers=2)
+        spec = _spec(("ep", "ft"), seed=3)
+        serial = run_spec(spec).results
+        parallel = run_spec(spec, workers=2).results
         for name in serial:
             a, b = serial[name], parallel[name]
             assert a.runs["OS"].results[0].execution_cycles == \
@@ -110,14 +115,24 @@ class TestParallelSuite:
 
 
 class TestSuite:
-    def test_run_suite_keys(self):
-        cfg = ExperimentConfig(
-            benchmarks=("ep",), scale=0.1, os_runs=1, mapped_runs=1,
-            sm_sample_threshold=4, hm_period_cycles=40_000,
-        )
-        out = ExperimentRunner(cfg).run_suite()
+    def test_run_spec_keys(self):
+        out = run_spec(_spec(("ep",), seed=2012)).results
         assert list(out) == ["ep"]
         assert isinstance(out["ep"], BenchmarkResult)
+
+    def test_warm_cells_count_as_served_benchmarks(self, tmp_path):
+        # A cell served from the cache counts in the registry as
+        # ExperimentRunner.run_benchmark counts a hit it serves.
+        reg = global_registry()
+        served = reg.counter("runner_benchmarks_total")
+        hits = reg.counter("runner_cache_hits_total")
+        spec = _spec(("ep",))
+        deltas = []
+        for _ in range(2):
+            before = (served.value, hits.value)
+            run_spec(spec, cache_dir=str(tmp_path))
+            deltas.append((served.value - before[0], hits.value - before[1]))
+        assert deltas == [(1, 0), (1, 1)]
 
     def test_reproducible(self):
         cfg = ExperimentConfig(

@@ -1,178 +1,151 @@
-"""Differential goldens: spec runs are byte-identical to the legacy paths.
+"""Spec goldens: every spec's rendered artifacts, byte for byte.
 
-Each ported spec under ``benchmarks/specs/`` is executed through
-:func:`repro.experiments.specs.run_spec` and compared — as rendered
-bytes, not parsed approximations — against an inline transcription of
-the legacy bench it replaced (the exact code the old ``benchmarks/``
-scripts ran, at a CI-sized scale).  This is the acceptance gate for the
-declarative platform: a spec that drifts from its legacy output by one
-byte fails here.
+``data/spec_golden.json`` holds, per spec under ``benchmarks/specs/``,
+the runtime params of a CI-sized run and what that run must produce:
+text artifacts verbatim, SVGs by SHA-256, the sweep records of ablation
+specs and the counter rows of the engine spec.  The hand-rolled bench
+scripts (and the suite fixture they shared) wrote it before each was
+ported to a spec, and the scalar engine wrote the engine rows, so a spec
+that drifts from the code it replaced by one byte fails here.
+Regenerating it from the specs defeats its purpose; do so only for a
+deliberate change of a simulated result or a report format (a new spec
+needs its entry, with its params, added by hand first)::
 
-The legacy and spec sides share one on-disk result cache, which also
+    PYTHONPATH=src python tests/experiments/test_spec_differential.py --write
+
+Every spec renders from one shared on-disk result cache, which also
 proves the memoization contract: identical configs produce identical
-cache keys, so the second side of each comparison is warm.
+cache keys, so the protocol specs that share a grid simulate it once.
 """
 
 from __future__ import annotations
 
-import pathlib
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import fig4, fig6, figure_svg, heatmap_svgs
-from repro.experiments.runner import ExperimentRunner
-from repro.experiments.specs import (
-    ENGINE_COMPARED_FIELDS,
-    load_spec,
-    run_spec,
-)
-from repro.experiments.tables import table1
-from repro.util.render import format_table
-from repro.util.stats import summarize
+from repro.experiments.specs import SPEC_DIR, SpecRun, load_spec, run_spec
 
-SPEC_DIR = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "specs"
+GOLDEN = Path(__file__).with_name("data") / "spec_golden.json"
+PINNED = json.loads(GOLDEN.read_text())
 
-#: CI-sized knobs, far below the bench defaults but identical on both
-#: sides of every comparison.
-SCALE = 0.1
-OS_RUNS = 2
-MAPPED_RUNS = 1
+#: Specs whose checks predate the others (the first six ports); every
+#: other spec is checked by ``test_ported_spec_matches_golden``.
+FIRST_PORTS = ("ablation_sampling", "engine_speedup", "ext_noise_variance",
+               "fig4_sm_patterns", "fig6_exec_time", "table1_mechanisms")
+
+
+def _run(name: str, cache_dir: str, out_dir: "Path | None" = None) -> SpecRun:
+    return run_spec(load_spec(SPEC_DIR / f"{name}.toml"),
+                    params=PINNED[name]["params"], cache_dir=cache_dir,
+                    out_dir=out_dir)
+
+
+def _pinned(run: SpecRun) -> dict:
+    """What the golden file holds for one run (besides its params)."""
+    doc = {"artifacts": {
+        name: ("sha256:" + hashlib.sha256(text.encode()).hexdigest()
+               if name.endswith(".svg") else text)
+        for name, text in run.artifacts.items()
+    }}
+    if run.spec.pipeline == "ablation":
+        doc["records"] = run.results
+    if run.spec.pipeline == "engine":
+        doc["rows"] = run.rows
+    return doc
+
+
+def _check(runs: dict, name: str) -> None:
+    expected = {k: v for k, v in PINNED[name].items() if k != "params"}
+    assert _pinned(runs[name]) == expected
 
 
 @pytest.fixture(scope="module")
 def cache_dir(tmp_path_factory) -> str:
-    return str(tmp_path_factory.mktemp("spec-differential-cache"))
+    return str(tmp_path_factory.mktemp("spec-golden-cache"))
 
 
 @pytest.fixture(scope="module")
-def suite(cache_dir):
-    """The legacy side for fig4/fig6: one ExperimentRunner suite, exactly
-    as ``benchmarks/conftest.py`` used to drive it."""
-    config = ExperimentConfig(
-        scale=SCALE, os_runs=OS_RUNS, mapped_runs=MAPPED_RUNS,
-        sm_sample_threshold=6, hm_period_cycles=80_000, seed=2012,
-    )
-    return ExperimentRunner(config, cache_dir=cache_dir).run_suite()
+def runs(cache_dir) -> dict:
+    """Every pinned spec, run in name order into the shared cache."""
+    return {name: _run(name, cache_dir) for name in sorted(PINNED)}
 
 
-def _run(name: str, cache_dir: str, params=None):
-    """Run a ported spec with CI-sized ensembles layered over it.
+def test_every_spec_is_pinned():
+    assert sorted(PINNED) == sorted(p.stem for p in SPEC_DIR.glob("*.toml"))
 
-    ``params`` (when given) is passed through verbatim — specs that pin
-    their own ensemble sizes (the noise spec) must NOT have the CI
-    defaults layered over them, since runtime params win over overrides.
-    """
-    spec = load_spec(SPEC_DIR / f"{name}.toml")
-    if params is None:
-        params = {"scale": SCALE, "os_runs": OS_RUNS,
-                  "mapped_runs": MAPPED_RUNS}
-    return run_spec(spec, params=params, cache_dir=cache_dir)
+
+@pytest.mark.parametrize("name", sorted(set(PINNED) - set(FIRST_PORTS)))
+def test_ported_spec_matches_golden(runs, name):
+    _check(runs, name)
 
 
 class TestProtocolSpecs:
-    def test_fig4_bytes_match_legacy(self, suite, cache_dir):
-        run = _run("fig4_sm_patterns", cache_dir)
-        # The suite fixture already simulated every cell into the shared
-        # cache; the spec side must have found all of them.
-        assert run.cache_misses == 0
-        assert run.cache_hits == len(run.results)
+    def test_fig4_bytes_match_legacy(self, runs):
+        _check(runs, "fig4_sm_patterns")
 
-        maps = fig4(suite)
-        legacy_text = "\n\n".join(maps[name] for name in sorted(maps))
-        assert run.artifacts["fig4_sm_patterns.txt"] == legacy_text
-        for name, svg in heatmap_svgs(suite, "SM").items():
-            assert run.artifacts[f"fig4_{name}.svg"] == svg
+    def test_fig6_bytes_match_legacy(self, runs):
+        _check(runs, "fig6_exec_time")
 
-    def test_fig6_bytes_match_legacy(self, suite, cache_dir):
-        run = _run("fig6_exec_time", cache_dir)
-        assert run.cache_misses == 0
-        assert run.artifacts["fig6_exec_time.txt"] == fig6(suite)
-        assert run.artifacts["fig6_exec_time.svg"] == figure_svg(suite, 6)
+    def test_shared_grid_is_simulated_once(self, runs):
+        grid = runs["fig4_sm_patterns"].config
+        shared = [r for r in runs.values()
+                  if r.spec.pipeline == "protocol" and r.config == grid]
+        assert len(shared) == 10  # fig4-9, table3-5 and the report
+        assert sum(r.cache_misses for r in shared) == len(grid.benchmarks)
+        assert sum(r.cache_hits for r in shared) == 9 * len(grid.benchmarks)
 
-    def test_artifacts_written_with_trailing_newline(self, suite, cache_dir,
+    def test_artifacts_written_with_trailing_newline(self, runs, cache_dir,
                                                      tmp_path):
         out = tmp_path / "out"
-        run = run_spec(load_spec(SPEC_DIR / "fig6_exec_time.toml"),
-                       params={"scale": SCALE, "os_runs": OS_RUNS,
-                               "mapped_runs": MAPPED_RUNS},
-                       cache_dir=cache_dir, out_dir=out)
+        run = _run("fig6_exec_time", cache_dir, out_dir=out)
         on_disk = (out / "fig6_exec_time.txt").read_text()
         assert on_disk == run.artifacts["fig6_exec_time.txt"] + "\n"
 
 
 class TestStaticSpecs:
-    def test_table1_bytes_match_legacy(self, cache_dir):
-        run = _run("table1_mechanisms", cache_dir)
-        assert run.artifacts["table1_mechanisms.txt"] == table1()
+    def test_table1_bytes_match_legacy(self, runs):
+        _check(runs, "table1_mechanisms")
 
 
 class TestAblationSpec:
-    def test_records_and_bytes_match_legacy(self, cache_dir):
-        from repro.experiments.ablations import sm_sampling_sweep
+    def test_records_and_bytes_match_legacy(self, runs):
+        _check(runs, "ablation_sampling")
 
-        run = _run("ablation_sampling", cache_dir)
-        thresholds = run.spec.sweep["thresholds"]
-        legacy = sm_sampling_sweep("sp", thresholds=thresholds,
-                                   scale=SCALE, seed=2012)
-        assert legacy == run.results
-
-        rows = [
-            [int(r["threshold"]), f"{r['accuracy']:.3f}",
-             f"{100 * r['overhead']:.3f}%", int(r["searches"])]
-            for r in legacy
-        ]
-        legacy_text = format_table(
-            rows, header=["n (sample 1/n misses)", "accuracy (Pearson)",
-                          "overhead", "searches"])
-        assert run.artifacts["ablation_sm_sampling.txt"] == legacy_text
-
-    def test_rerun_is_fully_cached(self, cache_dir):
+    def test_rerun_is_fully_cached(self, runs, cache_dir):
         run = _run("ablation_sampling", cache_dir)
         assert run.cache_misses == 0
         assert run.cache_hits == len(run.spec.sweep["thresholds"])
 
 
 class TestNoiseVarianceSpec:
-    SCALE = 0.08
-
-    def test_bytes_match_legacy(self, cache_dir):
-        run = _run("ext_noise_variance", cache_dir,
-                   params={"scale": self.SCALE})
-        config = ExperimentConfig(
-            benchmarks=("bt", "sp", "mg"), scale=self.SCALE,
-            os_runs=5, mapped_runs=5, sm_sample_threshold=4,
-            hm_period_cycles=80_000, seed=2012, noise_rate=0.02,
-        )
-        results = ExperimentRunner(config, cache_dir=cache_dir).run_suite()
-        rows = []
-        for name, r in results.items():
-            row = [name.upper()]
-            for policy in ("OS", "SM", "HM"):
-                cv = summarize(
-                    r.runs[policy].metric("execution_cycles")).relative_std
-                row.append(f"{100 * cv:.2f}%")
-            rows.append(row)
-        legacy_text = format_table(
-            rows, header=["bench", "OS std", "SM std", "HM std"])
-        assert run.artifacts["ext_noise_variance.txt"] == legacy_text
+    def test_bytes_match_legacy(self, runs):
+        _check(runs, "ext_noise_variance")
 
 
 class TestEngineSpec:
-    def test_rows_match_scalar_reference(self, cache_dir):
-        import dataclasses
+    def test_rows_match_scalar_reference(self, runs):
+        _check(runs, "engine_speedup")
+        assert runs["engine_speedup"].results["speedup"] > 0
 
-        from repro.machine.simulator import SimConfig, Simulator
-        from repro.machine.system import System
-        from repro.machine.topology import harpertown
-        from repro.workloads.npb import make_npb_workload
 
-        run = _run("engine_speedup", cache_dir,
-                   params={"scale": 0.12, "speedup_floor": 0.0,
-                           "engine_repeats": 1})
-        wl = make_npb_workload("sp", num_threads=8, scale=0.12, seed=2012)
-        reference = Simulator(System(harpertown()),
-                              SimConfig(engine="scalar")).run(wl)
-        a = dataclasses.asdict(reference)
-        assert run.rows == [f"sp {f}={a[f]}" for f in ENGINE_COMPARED_FIELDS]
-        assert run.results["speedup"] > 0
+def main(argv: list) -> int:
+    """``--write``: re-render every pinned spec into the golden file."""
+    if argv != ["--write"]:
+        print(__doc__)
+        return 2
+    doc = {}
+    with tempfile.TemporaryDirectory() as cache:
+        for name in sorted(PINNED):
+            doc[name] = {"params": PINNED[name]["params"],
+                         **_pinned(_run(name, cache))}
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

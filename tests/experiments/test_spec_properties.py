@@ -5,8 +5,9 @@ Two families of guarantees the platform leans on:
 * ``loads_spec(dumps_spec(s)) == s`` for *every* well-formed spec — the
   on-disk TOML is a faithful, stable encoding, so a spec file's identity
   (and therefore its cache keys) survives rewrite cycles; unknown keys
-  anywhere raise a typed :class:`ValidationError` instead of being
-  silently dropped.
+  anywhere, and wrongly typed or out-of-range values, raise a typed
+  :class:`ValidationError` at load instead of being silently dropped,
+  coerced, or failing at run time.
 * The scenario synthesizer is a pure function of ``(seed, index)`` —
   the same draw yields byte-identical scenarios across processes and
   machines, which is what makes metamorphic failures reproducible.
@@ -15,6 +16,7 @@ Two families of guarantees the platform leans on:
 from __future__ import annotations
 
 import dataclasses
+import tomllib
 
 import pytest
 from hypothesis import given, strategies as st
@@ -78,10 +80,23 @@ def specs(draw) -> ExperimentSpec:
     if pipeline == "ablation":
         variant = draw(st.sampled_from(sorted(ABLATION_AXES)))
         axis = ABLATION_AXES[variant]
+        point = st.integers(1, 512) | safe_floats
+        if len(axis.keys) > 1:
+            point = st.tuples(*[point] * len(axis.keys))
         kw["variant"] = variant
-        kw["sweep"] = {axis: tuple(draw(st.lists(
-            st.integers(1, 512) | safe_floats, min_size=1, max_size=5)))}
+        kw["sweep"] = {axis.sweep: tuple(draw(st.lists(
+            point, min_size=1, max_size=5)))}
     return ExperimentSpec(**kw)
+
+
+#: Any TOML value, of any type a field may not expect.
+toml_values = st.recursive(
+    st.integers(-2**63, 2**63 - 1) | st.floats() | st.booleans()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 class TestRoundTrip:
@@ -125,6 +140,38 @@ class TestUnknownKeys:
     def test_error_names_the_valid_keys(self):
         with pytest.raises(ValidationError, match="valid:"):
             spec_from_dict({"name": "x", "kernels": ["sp"], "bogus": 1})
+
+
+class TestFailsClosed:
+    @pytest.mark.parametrize("text", [
+        'name = "x"\nkernels = ["sp"]\nseeds = ["a"]',
+        'name = "x"\nkernels = ["sp"]\nseeds = [1.5]',
+        'name = "x"\nkernels = ["sp"]\n[overrides]\nscale = "big"',
+        'name = "x"\nkernels = ["sp"]\n[overrides]\nscale = -1.0',
+        'name = "x"\npipeline = "ablation"\nvariant = "sm_sampling"\n'
+        'kernels = ["sp"]\n[sweep]\nthresholds = "abc"',
+    ], ids=["seed-string", "seed-float", "override-string",
+            "override-negative", "sweep-string"])
+    def test_malformed_value_is_rejected_at_load(self, text):
+        with pytest.raises(ValidationError):
+            loads_spec(text)
+
+    @given(spec=specs(), data=st.data())
+    def test_wrong_values_load_or_raise_validation_error(self, spec, data):
+        table = tomllib.loads(dumps_spec(spec))
+        field = data.draw(st.sampled_from(sorted(_SPEC_FIELDS)))
+        value = data.draw(toml_values)
+        if field in ("overrides", "sweep") and data.draw(st.booleans()):
+            keys = (override_values if field == "overrides"
+                    else [a.sweep for a in ABLATION_AXES.values()])
+            table.setdefault(field, {})[data.draw(st.sampled_from(sorted(keys)))] = value
+        else:
+            table[field] = value
+        try:
+            loaded = spec_from_dict(table)
+        except ValidationError:
+            return
+        loaded.config()
 
 
 class TestSynthesizerSeedStability:

@@ -1,7 +1,8 @@
-"""Chaos tests for the experiment runner's pool and result cache.
+"""Chaos tests for the spec runner's pool and the result cache.
 
 Worker death uses a *hard* crash event (``os._exit``) so the parent
-observes a genuine ``BrokenProcessPool``, and a latch file so exactly
+observes a genuine ``BrokenProcessPool`` in
+:func:`repro.experiments.specs.steal_cells`, and a latch file so exactly
 one forked child dies no matter how the pool schedules tasks.  The plan
 reaches the children through ``REPRO_FAULT_PLAN`` — the same
 environment channel ``repro serve --fault-plan`` uses — which is itself
@@ -13,6 +14,7 @@ import pytest
 from repro.experiments.cache import ResultCache
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner
+from repro.experiments.specs import ExperimentSpec, run_spec
 from repro.faults.injector import PLAN_ENV_VAR, activated, deactivate
 from repro.faults.plan import (
     SITE_CACHE_PUT,
@@ -20,6 +22,7 @@ from repro.faults.plan import (
     FaultEvent,
     FaultPlan,
 )
+from repro.obs.metrics import global_registry
 
 TINY = ExperimentConfig(
     benchmarks=("bt", "cg"),
@@ -29,6 +32,16 @@ TINY = ExperimentConfig(
     sm_sample_threshold=3,
     hm_period_cycles=40_000,
     seed=5,
+)
+
+TINY_SPEC = ExperimentSpec(
+    name="chaos-tiny",
+    kernels=TINY.benchmarks,
+    seeds=(TINY.seed,),
+    overrides={k: getattr(TINY, k) for k in (
+        "scale", "os_runs", "mapped_runs", "sm_sample_threshold",
+        "hm_period_cycles")},
+    reports=("fig6",),
 )
 
 
@@ -52,19 +65,21 @@ class TestPoolWorkerDeath:
         plan.save(path)
         monkeypatch.setenv(PLAN_ENV_VAR, str(path))
 
-        runner = ExperimentRunner(TINY)
-        out = runner.run_suite(workers=2)
+        pooled = run_spec(TINY_SPEC, workers=2)
 
         assert latch.exists()  # the crash really fired, in a child
-        assert runner.pool_rebuilds == 1
-        assert set(out) == {"bt", "cg"}
+        assert pooled.pool_rebuilds == 1
+        assert set(pooled.results) == {"bt", "cg"}
 
         monkeypatch.delenv(PLAN_ENV_VAR)
         deactivate()
-        serial = ExperimentRunner(TINY).run_suite(workers=1)
-        for name in serial:
-            assert out[name].mappings == serial[name].mappings
-            assert out[name].detector_stats == serial[name].detector_stats
+        serial = run_spec(TINY_SPEC, workers=1)
+        assert serial.pool_rebuilds == 0
+        assert pooled.rows == serial.rows
+        assert pooled.artifacts == serial.artifacts
+        for name, result in serial.results.items():
+            assert pooled.results[name].mappings == result.mappings
+            assert pooled.results[name].detector_stats == result.detector_stats
 
     def test_second_pool_death_is_fatal(self):
         from concurrent.futures.process import BrokenProcessPool
@@ -74,11 +89,12 @@ class TestPoolWorkerDeath:
             FaultEvent(site=SITE_RUNNER_BENCHMARK, invocation=1,
                        kind="crash", count=99, hard=True),
         ))
+        rebuilds = global_registry().counter("runner_pool_rebuilds_total")
+        before = rebuilds.value
         with activated(plan):
-            runner = ExperimentRunner(TINY)
             with pytest.raises(BrokenProcessPool):
-                runner.run_suite(workers=2)
-        assert runner.pool_rebuilds == 1  # exactly one retry, then fatal
+                run_spec(TINY_SPEC, workers=2)
+        assert rebuilds.value - before == 1  # exactly one retry, then fatal
 
 
 class TestCachePutCorruption:

@@ -56,6 +56,27 @@ class TestReproduce:
         assert "report written" in capsys.readouterr().out
 
 
+class TestRunSpec:
+    def test_bare_name_resolves_from_any_cwd(self, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run-spec", "table1_mechanisms"]) == 0
+        assert "Θ(P)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args", [
+        ["seeds = [\"a\"]"], ["[overrides]", "scale = \"big\""],
+    ])
+    def test_malformed_spec_exits_two(self, tmp_path, capsys, args):
+        path = tmp_path / "bad.toml"
+        path.write_text("\n".join(['name = "bad"', 'kernels = ["sp"]'] + args))
+        assert main(["run-spec", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("repro run-spec: ")
+
+    def test_ill_typed_param_exits_two(self, capsys):
+        assert main(["run-spec", "table1_mechanisms", "--set", "scale=big"]) == 2
+        assert "scale" in capsys.readouterr().err
+
+
 class TestRecordReplay:
     def test_round_trip(self, tmp_path, capsys):
         path = tmp_path / "ep.npz"

@@ -74,9 +74,7 @@ class TestPoolWorkerDeath:
         monkeypatch.delenv(PLAN_ENV_VAR)
         deactivate()
         serial = run_spec(TINY_SPEC, workers=1)
-        assert serial.pool_rebuilds == 0
-        assert pooled.rows == serial.rows
-        assert pooled.artifacts == serial.artifacts
+        # Rows and artifacts: tests/faults/test_chaos_specs.py.
         for name, result in serial.results.items():
             assert pooled.results[name].mappings == result.mappings
             assert pooled.results[name].detector_stats == result.detector_stats

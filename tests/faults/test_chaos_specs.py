@@ -1,9 +1,10 @@
-"""Chaos test for the spec runner's process pool.
+"""Chaos test for the spec runner's rendered artifacts under pool death.
 
-``run_spec`` and ``ExperimentRunner.run_suite`` share one requeue loop
-(:func:`repro.experiments.specs.steal_cells`); this drives it through
-the spec side with a latched hard crash, as
-``tests/faults/test_chaos_runner.py`` does through the suite side.
+A latched hard crash kills one pool worker mid-spec; the requeue loop
+(:func:`repro.experiments.specs.steal_cells`) must re-run the lost cell
+so that the rows and report artifacts ``run_spec`` renders are the
+serial run's.  ``tests/faults/test_chaos_runner.py`` checks the
+per-kernel results of the same fault.
 """
 
 import pytest

@@ -41,7 +41,8 @@ test:
 test-scalar:
 	REPRO_SIM_ENGINE=scalar $(PYTHON) -m pytest tests -x -q
 
-# Identity contracts: the batched engine against the scalar one, and the
+# Identity contracts: the batched engine against the scalar one (whole
+# simulations, and access_batch per segment on a tiny machine), and the
 # array code on the /map miss path (canonical form, merge-round H, blossom
 # matcher, locality) against its loop references in tests/reference, plus
 # the golden /map response bytes written by those loops, and every spec's
@@ -49,6 +50,7 @@ test-scalar:
 # scripts the specs replaced.
 differential:
 	$(PYTHON) -m pytest tests/machine/test_engine_differential.py \
+		tests/mem/test_segment_differential.py \
 		tests/test_array_differential.py tests/service/test_map_golden.py \
 		tests/experiments/test_spec_differential.py -q
 

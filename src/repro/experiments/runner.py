@@ -211,6 +211,11 @@ class ExperimentRunner:
             if isinstance(hit, BenchmarkResult):
                 reg.counter("runner_cache_hits_total").inc()
                 return hit
+        return self._run_fresh(name)
+
+    def _run_fresh(self, name: str) -> BenchmarkResult:
+        """Simulate ``name`` and store the result in the cache, without
+        looking the cache up or counting the run: the caller does both."""
         tracer = get_tracer()
         if not tracer.enabled:
             result = self._run_benchmark_uncached(name)
@@ -281,4 +286,4 @@ def _run_benchmark_task(
     from repro.faults.plan import SITE_RUNNER_BENCHMARK
 
     get_injector().fire(SITE_RUNNER_BENCHMARK)
-    return ExperimentRunner(config, topology, cache_dir=cache_dir).run_benchmark(name)
+    return ExperimentRunner(config, topology, cache_dir=cache_dir)._run_fresh(name)

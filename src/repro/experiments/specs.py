@@ -594,6 +594,9 @@ def _run_protocol(
                     "benchmark", config, topology, kernel, cache_dir)
     broken: List[BaseException] = []
     fresh = steal_cells(tasks, workers, on_rebuild=broken.append)
+    # Counted here, not where the cell ran: a pool worker counts into its
+    # own registry.
+    reg.counter("runner_benchmarks_total").inc(len(fresh))
     for (topo_name, seed, kernel), result in fresh.items():
         grid[(topo_name, seed)][kernel] = result
     primary_key = (spec.topologies[0], spec.seeds[0])

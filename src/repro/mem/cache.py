@@ -92,18 +92,27 @@ class Cache:
     callers do the split once so multiple caches can share it.
     """
 
+    #: One dict per set: line -> [state, stamp].  Dicts keep lookups O(1)
+    #: even for the 12288-set L2, and sets never exceed `ways` entries.
+    #: Built on first use (:meth:`__getattr__`): a hierarchy run by the
+    #: batched engine keeps its contents as arrays and may never need them.
+    _sets: List[Dict[int, List[int]]]
+
     def __init__(self, config: CacheConfig, owner_id: int = 0):
         self.config = config
         self.owner_id = owner_id
         self.stats = CacheStats()
-        # One dict per set: line -> [state, stamp].  Dicts keep lookups O(1)
-        # even for the 12288-set L2, and sets never exceed `ways` entries.
-        self._sets: List[Dict[int, List[int]]] = [
-            {} for _ in range(config.num_sets)
-        ]
         self._num_sets = config.num_sets
         self._ways = config.ways
         self._clock = 0
+
+    def __getattr__(self, name: str) -> List[Dict[int, List[int]]]:
+        # Only reached while ``_sets`` is unbuilt; after that it is a plain
+        # attribute, so the lookup hot paths pay nothing.
+        if name != "_sets":
+            raise AttributeError(name)
+        self._sets = [{} for _ in range(self._num_sets)]
+        return self._sets
 
     # -- lookup/fill ---------------------------------------------------------
 

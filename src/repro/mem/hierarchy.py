@@ -37,6 +37,7 @@ from repro.mem.segment import (
     SHARED,
     L2Wiring,
     LineDirectory,
+    clocks,
     dense_ids,
     resolve_l1,
     resolve_mesi,
@@ -186,11 +187,11 @@ class MemoryHierarchy:
         d = self._l2_dir
         num_sets = self.l2_config.num_sets
         for c, cache in enumerate(self._l2s):
-            rows = np.flatnonzero(d.state[c, :d.used])
+            rows = np.flatnonzero(d.holders[:d.used] & (1 << c))
             rows = rows[np.argsort(d.stamp[c, rows])]
             stamps = d.stamp[c, rows].astype(np.int64) + self._l2_base[c]
             sets = cache._sets
-            for x, st, sp in zip(d.lines(rows).tolist(), d.state[c, rows].tolist(),
+            for x, st, sp in zip(d.lines(rows).tolist(), d.state[rows].tolist(),
                                  stamps.tolist()):
                 sets[x % num_sets][x] = [st, sp]
         self._reset_arrays()
@@ -226,7 +227,8 @@ class MemoryHierarchy:
                 lines, states, stamps = (np.array(a, np.int64) for a in zip(*items))
                 order = np.argsort(lines)
                 rows = d.rows(lines[order])
-                d.state[c, rows] = states[order]
+                d.holders[rows] |= 1 << c
+                d.state[rows] = np.maximum(d.state[rows], states[order])
                 d.stamp[c, rows] = stamps[order] - self._l2_base[c]
         return True
 
@@ -328,114 +330,133 @@ class MemoryHierarchy:
         writes = writes[start:end]
         if end <= start:
             return np.zeros(0, np.int64)
-        clocks = np.array([c._clock for c in self._l2s], np.int64)
+        clocks_now = np.array([c._clock for c in self._l2s], np.int64)
         if self._wiring is None or (
                 not self._arrays_own and not self._to_arrays()) or (
-                clocks + 2 * (end - start) - self._l2_base >= _STAMP_SPAN).any():
+                clocks_now + 2 * (end - start) - self._l2_base >= _STAMP_SPAN).any():
             return self._access_each(cores, lines, writes)
         d = self._l2_dir
+        wiring = self._wiring
         num_l2 = len(self._l2s)
-        l2 = self._l2_of_core[cores]
+        num_sets = self.l2_config.num_sets
+        ways = self.l2_config.ways
+        l2 = self._l2_of_core.take(cores)
         ulines, u = dense_ids(lines)
         rows = d.rows(ulines)
-        states = d.state[:, rows].astype(np.int64)
-        num_sets = self.l2_config.num_sets
-        slot = np.arange(num_l2)[:, None] * num_sets + ulines % num_sets
-        wanted = np.zeros((num_l2, len(ulines)), bool)
-        wanted[l2, u] = True
-        new = slot[wanted & (states == 0)]
-        if (np.bincount(new, minlength=num_l2 * num_sets)[new]
-                + self._l2_occ.ravel()[new] > self.l2_config.ways).any():
-            return self._access_each(cores, lines, writes)
+        start_h = d.holders.take(rows)
+        start_state = d.state.take(rows).astype(np.int64)
+        line_set = ulines % num_sets
+        # An L2 set could overflow if its resident lines plus the distinct
+        # lines new to it exceed its ways.  The segment's distinct lines in
+        # the set bound the new ones, so most segments pass on that alone.
+        per_set = np.bincount(line_set, minlength=num_sets)
+        if (self._l2_occ.max(0).take(line_set) + per_set.take(line_set) > ways).any():
+            new = np.zeros((num_l2, len(ulines)), bool)
+            new[l2, u] = True
+            new &= (start_h & wiring.bit[:, None]) == 0
+            c_at, u_at = np.nonzero(new)
+            slot = c_at * num_sets + line_set.take(u_at)
+            if (np.bincount(slot, minlength=num_l2 * num_sets).take(slot)
+                    + self._l2_occ.ravel().take(slot) > ways).any():
+                return self._access_each(cores, lines, writes)
 
         # Pass 1: L1s.  Reads that miss, and every write, reach the L2.
         l1o = resolve_l1(cores, lines, writes, ulines, u, self._l2_of_core,
                          self.l1_config.num_sets, self._l1_line,
                          self._l1_stamp - _OLD)
         ev_pos = np.flatnonzero(writes | ~l1o.hit)
-        ev_l2 = l2[ev_pos]
-        ev_u = u[ev_pos]
-        ev_w = writes[ev_pos]
+        ev_l2 = l2.take(ev_pos)
+        ev_u = u.take(ev_pos)
+        ev_w = writes.take(ev_pos)
 
         # Pass 2: MESI per line across the L2s.
-        wiring = self._wiring
-        mo = resolve_mesi(ev_l2, ev_u, ev_w, wiring.bit @ (states != 0),
-                          states.max(0), wiring)
+        mo = resolve_mesi(ev_l2, ev_u, ev_w, start_h, start_state, wiring)
         miss = ~mo.hit
-        snoop = miss & (mo.holders != 0)
-        fetch = miss & (mo.holders == 0)
-        upgrade = ev_w & mo.hit & (mo.state == SHARED)
-        inval = np.where(upgrade, mo.holders & ~wiring.bit[ev_l2],
-                         np.where(ev_w & snoop, mo.holders, 0))
-        near = wiring.peers[ev_l2]
-        sup_near = snoop & (wiring.chip[mo.supplier] == wiring.chip[ev_l2])
+        fetch = np.flatnonzero(miss & (mo.holders == 0))
+        # Coherence traffic: misses another L2 serves, and upgrades.  A
+        # write's snoop (RFO) invalidates every holder, an upgrade every
+        # other one; an upgrade pays the slower of its invalidate rounds.
+        co = np.flatnonzero(np.where(miss, mo.holders != 0, ev_w & (mo.state == SHARED)))
+        co_l2 = ev_l2.take(co)
+        co_h = mo.holders.take(co)
+        co_w = ev_w.take(co)
+        snoop = miss.take(co)
+        upgrade = ~snoop
+        inval = np.where(upgrade, co_h & ~wiring.bit.take(co_l2), np.where(co_w, co_h, 0))
+        chip = wiring.chip.take(co_l2)
+        sup_near = snoop & (wiring.chip.take(
+            wiring.supplier.take((co_l2 << num_l2) + co_h)) == chip)
         sup_far = snoop & ~sup_near
-        inval_near = np.where(upgrade, wiring.pop[inval & near], 0)
-        inval_far = np.where(upgrade, wiring.pop[inval & ~near], 0)
+        near = wiring.peers.take(co_l2)
+        inval_near = np.where(upgrade, wiring.pop.take(inval & near), 0)
+        inval_far = np.where(upgrade, wiring.pop.take(inval & ~near), 0)
 
         # Pass 3: latencies.  DRAM fills ask the memory model in global
         # order (AutoNUMA's migrations depend on it).
         ic = self.bus.interconnect.config
-        fill = np.zeros(len(ev_pos), np.int64)
+        ev_lat = np.where(ev_w, 0, self.l2_config.latency)
         memory_model = self.bus.memory_model
         if memory_model is None:
-            fill[fetch] = self.bus.memory_latency
+            ev_lat[fetch] += self.bus.memory_latency
         else:
-            fill[fetch] = [
+            ev_lat[fetch] += np.array([
                 memory_model.memory_latency(chip, x) for chip, x in zip(
-                    wiring.chip[ev_l2[fetch]].tolist(),
-                    ulines[ev_u[fetch]].tolist(),
+                    wiring.chip.take(ev_l2.take(fetch)).tolist(),
+                    ulines.take(ev_u.take(fetch)).tolist(),
                 )
-            ]
-        latency = np.full(end - start, self._l1_lat, np.int64)
-        latency[ev_pos] += (
-            np.where(ev_w, 0, self.l2_config.latency)
-            + np.where(sup_near, ic.intra_chip_latency, 0)
+            ], np.int64)
+        ev_lat[co] += (
+            np.where(sup_near, ic.intra_chip_latency, 0)
             + np.where(sup_far, ic.inter_chip_latency, 0)
             + np.maximum(
                 (inval_near > 0) * ic.intra_chip_invalidate_latency,
                 (inval_far > 0) * ic.inter_chip_invalidate_latency,
             )
-            + fill
         )
+        latency = np.full(end - start, self._l1_lat, np.int64)
+        latency[ev_pos] += ev_lat
 
         # Counters.
-        l1_hits = np.bincount(cores[l1o.hit], minlength=self.num_cores)
-        l1_accesses = np.bincount(cores, minlength=self.num_cores)
-        for core, l1 in enumerate(self._l1s):
-            l1.stats.hits += int(l1_hits[core])
-            l1.stats.misses += int(l1_accesses[core] - l1_hits[core])
-            l1.stats.evictions += int(l1o.evictions[core])
-            l1.stats.invalidations_received += int(l1o.invalidations[core])
+        l1_hits = np.bincount(cores.compress(l1o.hit), minlength=self.num_cores).tolist()
+        l1_accesses = np.bincount(cores, minlength=self.num_cores).tolist()
+        for l1, hits, accesses, evictions, dropped in zip(
+                self._l1s, l1_hits, l1_accesses, l1o.evictions.tolist(),
+                l1o.invalidations.tolist()):
+            l1.stats.hits += hits
+            l1.stats.misses += accesses - hits
+            l1.stats.evictions += evictions
+            l1.stats.invalidations_received += dropped
         self.l1_sibling_invalidations += l1o.sibling
         bus_stats = self.bus.stats
-        l2_events = np.bincount(ev_l2, minlength=num_l2)
-        l2_misses = np.bincount(ev_l2[miss], minlength=num_l2)
+        l2_events = np.bincount(ev_l2, minlength=num_l2).tolist()
+        l2_misses = np.bincount(ev_l2.compress(miss), minlength=num_l2).tolist()
         invalidated = ((inval[:, None] & wiring.bit) != 0).sum(0)
-        for c, cache in enumerate(self._l2s):
-            cache.stats.hits += int(l2_events[c] - l2_misses[c])
-            cache.stats.misses += int(l2_misses[c])
-            cache.stats.invalidations_received += int(invalidated[c])
-            bus_stats.per_cache_misses[c] += int(l2_misses[c])
-        bus_stats.l2_misses += int(np.count_nonzero(miss))
-        bus_stats.snoop_transactions += int(np.count_nonzero(snoop))
-        bus_stats.memory_fetches += int(np.count_nonzero(fetch))
-        bus_stats.upgrades += int(np.count_nonzero(upgrade))
+        for c, (cache, events, misses, dropped) in enumerate(zip(
+                self._l2s, l2_events, l2_misses, invalidated.tolist())):
+            cache.stats.hits += events - misses
+            cache.stats.misses += misses
+            cache.stats.invalidations_received += dropped
+            bus_stats.per_cache_misses[c] += misses
+        n_snoop = int(np.count_nonzero(snoop))
+        bus_stats.l2_misses += sum(l2_misses)
+        bus_stats.snoop_transactions += n_snoop
+        bus_stats.memory_fetches += len(fetch)
+        bus_stats.upgrades += len(co) - n_snoop
         bus_stats.invalidations += int(invalidated.sum())
         bus_stats.writebacks_to_memory += int(
-            np.count_nonzero(snoop & (mo.state == MODIFIED))
+            np.count_nonzero(snoop & (mo.state.take(co) == MODIFIED))
         )
         ic_stats = self.bus.interconnect.stats
         line_size = self.l2_config.line_size
         n_near = int(np.count_nonzero(sup_near))
-        n_far = int(np.count_nonzero(sup_far))
+        n_far = n_snoop - n_near
         ic_stats.intra_transactions += n_near + int(inval_near.sum())
         ic_stats.inter_transactions += n_far + int(inval_far.sum())
         ic_stats.intra_bytes += n_near * line_size
         ic_stats.inter_bytes += n_far * line_size
         # Message kinds enter ``by_kind`` in order of first appearance.
         kinds = []
-        for kind, per_event in (("snoop", snoop & ~ev_w), ("rfo", snoop & ev_w),
+        for kind, per_event in (("snoop", snoop & ~co_w), ("rfo", snoop & co_w),
                                 ("invalidate", inval_near + inval_far)):
             at = np.flatnonzero(per_event)
             if len(at):
@@ -445,34 +466,34 @@ class MemoryHierarchy:
 
         # End state.  Every lookup ticks a cache's clock and every fill
         # ticks it again; a line's stamp is the clock at its last touch.
-        tick = 1 + (~writes & ~l1o.hit)
-        stamp_at = np.zeros(len(cores), np.int64)
-        for core, l1 in enumerate(self._l1s):
-            if l1_accesses[core]:
-                mask = cores == core
-                clock = l1._clock + np.cumsum(tick[mask])
-                stamp_at[mask] = clock
-                l1._clock = int(clock[-1])
+        stamp_at, end_clock = clocks(
+            cores, 1 + (~writes & ~l1o.hit),
+            np.array([l1._clock for l1 in self._l1s], np.int64))
+        for l1, clock in zip(self._l1s, end_clock.tolist()):
+            l1._clock = clock
         self._l1_line[l1o.groups] = l1o.ways_line
         self._l1_stamp[l1o.groups] = np.where(
-            l1o.ways_key >= 0, stamp_at[np.maximum(l1o.ways_key, 0)],
+            l1o.ways_key >= 0, stamp_at.take(np.maximum(l1o.ways_key, 0)),
             l1o.ways_key + _OLD,
         )
-        final = np.where((mo.final_holders & wiring.bit[:, None]) != 0,
-                         mo.final_state, 0)
-        d.state[:, rows] = final
-        delta = (final != 0).astype(np.int64) - (states != 0)
-        changed = delta != 0
-        self._l2_occ += np.bincount(
-            slot[changed], delta[changed], minlength=num_l2 * num_sets
-        ).astype(np.int64).reshape(num_l2, num_sets)
-        for c, cache in enumerate(self._l2s):
-            if l2_events[c]:
-                mask = ev_l2 == c
-                clock = np.cumsum(1 + miss[mask]) + (cache._clock - self._l2_base[c])
-                cache._clock = int(clock[-1] + self._l2_base[c])
-                last = mo.last_in_l2[mask]
-                d.stamp[c, rows[ev_u[mask][last]]] = clock[last]
+        # Only lines with L2 events change; occupancy moves at the (L2,
+        # set) slots of the lines an L2 gained or lost.
+        t = mo.touched
+        rt = rows.take(t)
+        old = start_h.take(t)
+        d.holders[rt] = mo.final_holders
+        d.state[rt] = mo.final_state
+        moved = np.flatnonzero(old != mo.final_holders)
+        k_at, c_at = np.nonzero(
+            (old ^ mo.final_holders).take(moved)[:, None] & wiring.bit)
+        gained = (mo.final_holders.take(moved.take(k_at)) >> c_at) & 1
+        np.add.at(self._l2_occ, (c_at, line_set.take(t.take(moved.take(k_at)))),
+                  2 * gained - 1)
+        stamp_at, end_clock = clocks(ev_l2, 1 + miss, clocks_now - self._l2_base)
+        for cache, clock in zip(self._l2s, (end_clock + self._l2_base).tolist()):
+            cache._clock = clock
+        last = np.flatnonzero(mo.last_in_l2)
+        d.stamp[ev_l2.take(last), rows.take(ev_u.take(last))] = stamp_at.take(last)
         return latency
 
     def access_verbose(self, core: int, addr: int, is_write: bool) -> AccessResult:

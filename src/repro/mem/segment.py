@@ -19,7 +19,11 @@ treatment possible:
 
 Both passes are pure functions of arrays.  The hierarchy keeps its state
 as arrays between segments, feeds the passes the start state and writes
-the end state and the counters back.
+the end state and the counters back.  Cold traffic resolves in closed
+form: writes no L1 can hold skip the L1 pass, a group's first touches of
+lines are a FIFO (:func:`_fifo_prefix`), and a line with one L2 event
+meets its start state (:func:`resolve_mesi`), so only lines that repeat
+go through the sequential passes.
 """
 
 from __future__ import annotations
@@ -91,6 +95,30 @@ def sort_order(keys: np.ndarray) -> np.ndarray:
     return packed % n
 
 
+def clocks(
+    keys: np.ndarray, ticks: np.ndarray, base: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per position, the clock of its key just after it; and each key's
+    clock after the last position.
+
+    Position i advances the clock of ``keys[i]`` by ``ticks[i]``; clock k
+    starts at ``base[k]``; keys are small (cores or L2s).  One stable sort
+    by key and a segmented cumsum.
+    """
+    o = np.argsort(keys.astype(np.int16), kind="stable")  # a radix sort
+    k = keys.take(o)
+    t = ticks.take(o)
+    run = np.cumsum(t)
+    run -= np.maximum.accumulate(np.where(starts(k), run - t, 0))
+    run += base.take(k)
+    at = np.empty_like(run)
+    at[o] = run
+    end = base.copy()
+    last = np.flatnonzero(ends(k))
+    end[k.take(last)] = run.take(last)
+    return at, end
+
+
 def dense_ids(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Sorted distinct ``values`` and each value's index among them."""
     n = len(values)
@@ -152,52 +180,61 @@ def resolve_l1(
     to a line the core can hold.  Consecutive events on one line form a
     *run*; a run's effect depends only on whether the line was present
     when it began, so the lockstep advances one run per group and step.
+    Groups that cannot overflow follow each line's chain of runs instead,
+    and the others reach the lockstep only at their first revisit.
     """
     num_cores = len(l2_of_core)
     n = len(lines)
     ways = start_line.shape[1]
 
     # Which cores can hold each line during the segment: those holding it
-    # at the start, and those that read it.
-    may_hold = np.zeros((len(ulines), num_cores), bool)
+    # at the start, and those that read it.  Flags per (line, core).
+    may_hold = np.zeros(len(ulines) * num_cores, bool)
     reads = ~writes
-    may_hold[u[reads], cores[reads]] = True
+    line_core = u * num_cores + cores
+    may_hold[line_core.compress(reads)] = True
     resident = np.flatnonzero(start_line.ravel() != EMPTY)
-    s_line = start_line.ravel()[resident]
+    s_line = start_line.ravel().take(resident)
     su = np.minimum(np.searchsorted(ulines, s_line), len(ulines) - 1)
-    known = ulines[su] == s_line
-    may_hold[su[known], resident[known] // ways // num_sets] = True
-    if not may_hold.any():
-        # No line of the segment is, or gets, in any L1: every access
-        # misses and no L1 changes.
+    known = np.flatnonzero(ulines.take(su) == s_line)
+    may_hold[su.take(known) * num_cores
+             + resident.take(known) // ways // num_sets] = True
+
+    # Own events: every read, and each write whose core may hold the line.
+    # Any other write misses its L1 and moves no LRU order, so it never
+    # enters the event order.
+    own_pos = np.flatnonzero(may_hold.take(line_core))
+    # Removal events: every other core's write to a line it may hold.
+    w_pos = np.flatnonzero(writes)
+    holders = may_hold.reshape(-1, num_cores).take(u.take(w_pos), axis=0)
+    holders.ravel()[np.arange(len(w_pos)) * num_cores + cores.take(w_pos)] = False
+    shared = row_any(holders)
+    w_at, x_core = np.nonzero(holders.compress(shared, axis=0))
+    x_pos = w_pos.compress(shared).take(w_at)
+    if not len(own_pos) + len(x_pos):
+        # No line of the segment is, or gets, in an L1 its core touches:
+        # every access misses and no L1 changes.
         none = np.zeros(num_cores, np.int64)
         return L1Outcome(hit=np.zeros(n, bool), evictions=none,
                          invalidations=none, sibling=0,
                          groups=np.zeros(0, np.int64),
                          ways_line=start_line[:0], ways_key=start_key[:0])
 
-    # Removal events: every other core's write to a line it may hold.
-    w_pos = np.flatnonzero(writes)
-    holders = may_hold[u[w_pos]]
-    holders[np.arange(len(w_pos)), cores[w_pos]] = False
-    w_at, x_core = np.nonzero(holders)
-    x_pos = w_pos[w_at]
-
     # Events sorted by (group, position).  A key decodes to its group and
     # position; the event is the group's own access iff the core at that
     # position is the group's core, else a removal.
     sets = lines % num_sets
     keys = np.concatenate([
-        (cores * num_sets + sets) * n + np.arange(n),
-        (x_core * num_sets + sets[x_pos]) * n + x_pos,
+        (cores.take(own_pos) * num_sets + sets.take(own_pos)) * n + own_pos,
+        (x_core * num_sets + sets.take(x_pos)) * n + x_pos,
     ])
     keys.sort()
     g = keys // n
     p = keys - g * n
     core_of = g // num_sets
-    own = cores[p] == core_of
-    x = lines[p]
-    is_read = own & reads[p]
+    own = cores.take(p) == core_of
+    x = lines.take(p)
+    is_read = own & reads.take(p)
     decides = is_read | ~own  # reads fill, removals drop; writes never allocate
     e_total = len(keys)
 
@@ -213,138 +250,233 @@ def resolve_l1(
         np.where(decides, np.arange(e_total), -1), run_first
     )
     run_decided = last_decider >= run_first
-    run_ends_in = run_decided & is_read[last_decider]
-    run_line = x[run_first]
-    run_key = p[run_last]
-    run_group = g[run_first]
+    run_ends_in = run_decided & is_read.take(last_decider)
+    run_line = x.take(run_first)
+    run_key = p.take(run_last)
+    run_group = g.take(run_first)
     group_start = starts(run_group)
-    groups = run_group[group_start]
+    group_first = np.flatnonzero(group_start)
+    groups = run_group.take(group_first)
     run_g = np.cumsum(group_start) - 1
 
-    ways_line = start_line[groups]
-    ways_key = start_key[groups]
+    ways_line = start_line.take(groups, axis=0)
+    ways_key = start_key.take(groups, axis=0)
+    occ0 = np.count_nonzero(ways_line != EMPTY, axis=1)
     run_p0 = np.zeros(n_runs, bool)
     run_evict = np.zeros(n_runs, bool)
+    evicted = np.zeros(len(groups), np.int64)
 
+    # One (group, line)-major order of the runs serves three rules.  A
+    # group's *first touch* of a line is its first run on a line it did
+    # not hold at the start; every other run is a *revisit*.
+    num_u = len(ulines)
+    pair = run_g * num_u + u.take(p.take(run_first))
+    by_pair = sort_order(pair)
+    pair = pair.take(by_pair)
+    pair_at = np.flatnonzero(starts(pair))
+    first_of = by_pair.take(pair_at)
+    pair_g = run_g.take(first_of)
+    eq = ways_line.take(pair_g, axis=0) == run_line.take(first_of)[:, None]
+    held = row_any(eq)
     # Calm groups can hold every line they see (the start content plus the
     # lines read fit in the ways), so they never evict and each line's
-    # presence follows its own chain of runs, at any depth.  The others
-    # advance in lockstep.
-    num_u = len(ulines)
-    run_u = u[p[run_first]]
-    read_pairs = np.sort(run_g[run_reads] * num_u + run_u[run_reads])
-    read_pairs = read_pairs[starts(read_pairs)]
-    pair_g = read_pairs // num_u
-    fresh = ~row_any(ways_line[pair_g] == ulines[read_pairs - pair_g * num_u][:, None])
-    calm = (ways_line != EMPTY).sum(1) + np.bincount(
-        pair_g[fresh], minlength=len(groups)) <= ways
-    in_calm = calm[run_g]
-
-    chain_key = run_g * num_u + run_u
-    cr = np.flatnonzero(in_calm)
-    cr = cr[sort_order(chain_key[cr])]  # (group, line)-major, runs in order
-    if len(cr):
-        ck = chain_key[cr]
-        gl = run_g[cr]
-        xl = run_line[cr]
-        eq = ways_line[gl] == xl[:, None]
-        held = row_any(eq)
-        before = prev_marked(run_decided[cr])
-        chain_start = np.maximum.accumulate(np.where(starts(ck), np.arange(len(cr)), 0))
+    # presence follows its own chain of runs, at any depth.
+    pair_reads = np.logical_or.reduceat(run_reads.take(by_pair), pair_at)
+    calm = occ0 + np.bincount(pair_g.compress(pair_reads & ~held),
+                              minlength=len(groups)) <= ways
+    in_calm = calm.take(run_g)
+    chained = np.flatnonzero(in_calm.take(by_pair))
+    if len(chained):
+        pair_of = np.searchsorted(pair_at, chained, "right") - 1
+        cr = by_pair.take(chained)
+        # Index (within ``cr``) of each chain's first run.
+        chain_start = pair_at.take(pair_of) - (chained - np.arange(len(chained)))
+        before = prev_marked(run_decided.take(cr))
         run_p0[cr] = p0 = np.where(
-            before >= chain_start, run_ends_in[cr][before], held
+            before >= chain_start, run_ends_in.take(cr).take(before),
+            held.take(pair_of),
         )
         # Each chain's last run leaves its line present or gone; lines new
         # to a group take the ways that were free at the start, in order.
-        last = ends(ck)
-        cl = cr[last]
-        fin = np.where(run_decided[cl], run_ends_in[cl], p0[last])
-        g_end = gl[last]
-        x_end = xl[last]
-        had = held[last]
-        free_first = np.argsort(ways_line[g_end] != EMPTY, axis=1, kind="stable")
-        way = np.where(had, eq[last].argmax(1), 0)
+        last = np.flatnonzero(ends(pair_of))
+        cl = cr.take(last)
+        lp = pair_of.take(last)
+        fin = np.where(run_decided.take(cl), run_ends_in.take(cl), p0.take(last))
+        g_end = pair_g.take(lp)
+        had = held.take(lp)
+        free_first = np.argsort(ways_line.take(g_end, axis=0) != EMPTY,
+                                axis=1, kind="stable")
+        way = np.where(had, eq.take(lp, axis=0).argmax(1), 0)
         new = fin & ~had
         ng = g_end[new]
         new_rank = np.arange(len(ng)) - np.maximum.accumulate(
             np.where(starts(ng), np.arange(len(ng)), 0))
         way[new] = free_first[new, new_rank]
         touched = had | new
-        ways_line[g_end[touched], way[touched]] = np.where(fin[touched], x_end[touched], EMPTY)
-        ways_key[g_end[fin], way[fin]] = run_key[cl[fin]]
-
-    # Lockstep over ranks: the runs of one rank are one slice of the
-    # rank-major order, at most one per group.
-    first_run = np.maximum.accumulate(np.where(group_start, np.arange(n_runs), 0))
-    rank = np.arange(n_runs) - first_run
-    busy = np.flatnonzero(~in_calm)
-    busy = busy[sort_order(rank[busy])]
-    bounds = np.zeros(int(rank.max()) + 2, np.int64)
-    np.cumsum(np.bincount(rank[busy], minlength=len(bounds) - 1), out=bounds[1:])
-    r_g = run_g[busy]
-    r_line = run_line[busy]
-    r_key = run_key[busy]
-    r_fills = run_reads[busy]
-    r_decided = run_decided[busy]
-    r_ends_in = run_ends_in[busy]
-    r_p0 = np.zeros(len(busy), bool)
-    r_evict = np.zeros(len(busy), bool)
-    flat_line = ways_line.ravel()
-    flat_key = ways_key.ravel()
-    tail = None
-    for r in range(len(bounds) - 1):
-        lo, hi = bounds[r], bounds[r + 1]
-        if hi - lo < _TAIL_GROUPS:
-            tail = busy[lo:hi]
-            break
-        gb = r_g[lo:hi]
-        xb = r_line[lo:hi]
-        wl = ways_line[gb]
-        match = wl == xb[:, None]
-        p0 = row_any(match)
-        free = wl == EMPTY
-        full = ~row_any(free)
-        # The run's way: the line's own, else a free one, else the LRU one.
-        way = np.where(p0, match.argmax(1),
-                       np.where(full, ways_key[gb].argmin(1), free.argmax(1)))
-        fin = np.where(r_decided[lo:hi], r_ends_in[lo:hi], p0)
-        evict = ~p0 & r_fills[lo:hi] & full
-        at = gb * ways + way
-        flat_line[at] = np.where(fin, xb, np.where(p0 | evict, EMPTY, flat_line[at]))
-        flat_key[at] = np.where(fin, r_key[lo:hi], flat_key[at])
-        r_p0[lo:hi] = p0
-        r_evict[lo:hi] = evict
-    run_p0[busy] = r_p0
-    run_evict[busy] = r_evict
-    if tail is not None:
-        group_end = np.append(np.flatnonzero(group_start)[1:], n_runs)[run_g]
-        _finish_runs(tail, group_end, run_g, run_line, run_key, run_reads,
-                     run_decided, run_ends_in, ways_line, ways_key,
-                     run_p0, run_evict)
+        ways_line[g_end[touched], way[touched]] = np.where(
+            fin[touched], run_line.take(cl[touched]), EMPTY)
+        ways_key[g_end[fin], way[fin]] = run_key.take(cl[fin])
+    busy = np.zeros(0, np.int64)
+    if not calm.all():
+        # Up to its first revisit a busy group only meets absent lines: it
+        # is a FIFO, resolved in closed form (:func:`_fifo_prefix`).  The
+        # lockstep starts at each group's first revisit.
+        fresh = np.zeros(n_runs, bool)
+        fresh[first_of.compress(~held)] = True
+        rank = np.arange(n_runs) - np.minimum.reduceat(
+            np.where(fresh, n_runs, np.arange(n_runs)), group_first).take(run_g)
+        prefix = np.flatnonzero((rank < 0) & ~in_calm)
+        if len(prefix):
+            gs, drop = _fifo_prefix(prefix, run_g, run_line, run_key, run_reads,
+                                    run_ends_in, occ0, ways_line, ways_key)
+            evicted[gs] = drop
+        busy = np.flatnonzero((rank >= 0) & ~in_calm)
+    if len(busy):
+        # Lockstep over ranks: the runs of one rank are one slice of the
+        # rank-major order, at most one per group.
+        busy = busy.take(sort_order(rank.take(busy)))
+        bounds = np.zeros(int(rank[busy[-1]]) + 2, np.int64)
+        np.cumsum(np.bincount(rank.take(busy), minlength=len(bounds) - 1),
+                  out=bounds[1:])
+        r_g = run_g.take(busy)
+        r_line = run_line.take(busy)
+        r_key = run_key.take(busy)
+        r_fills = run_reads.take(busy)
+        r_decided = run_decided.take(busy)
+        r_ends_in = run_ends_in.take(busy)
+        r_p0 = np.zeros(len(busy), bool)
+        r_evict = np.zeros(len(busy), bool)
+        flat_line = ways_line.ravel()
+        flat_key = ways_key.ravel()
+        tail = None
+        for r in range(len(bounds) - 1):
+            lo, hi = bounds[r], bounds[r + 1]
+            if hi - lo < _TAIL_GROUPS:
+                tail = busy[lo:hi]
+                break
+            gb = r_g[lo:hi]
+            xb = r_line[lo:hi]
+            wl = ways_line.take(gb, axis=0)
+            match = wl == xb[:, None]
+            p0 = row_any(match)
+            free = wl == EMPTY
+            full = ~row_any(free)
+            # The run's way: the line's own, else a free one, else the LRU one.
+            way = np.where(p0, match.argmax(1),
+                           np.where(full, ways_key.take(gb, axis=0).argmin(1),
+                                    free.argmax(1)))
+            fin = np.where(r_decided[lo:hi], r_ends_in[lo:hi], p0)
+            evict = ~p0 & r_fills[lo:hi] & full
+            at = gb * ways + way
+            flat_line[at] = np.where(fin, xb, np.where(p0 | evict, EMPTY,
+                                                       flat_line.take(at)))
+            flat_key[at] = np.where(fin, r_key[lo:hi], flat_key.take(at))
+            r_p0[lo:hi] = p0
+            r_evict[lo:hi] = evict
+        run_p0[busy] = r_p0
+        run_evict[busy] = r_evict
+        if tail is not None:
+            group_end = np.append(group_first[1:], n_runs).take(run_g)
+            _finish_runs(tail, group_end, run_g, run_line, run_key, run_reads,
+                         run_decided, run_ends_in, ways_line, ways_key,
+                         run_p0, run_evict)
+        evicted += np.bincount(run_g.compress(run_evict), minlength=len(groups))
 
     # Presence before each event: the last fill/removal earlier in its run
     # decides; before the first one, the run's start presence holds.
     prev = prev_marked(decides)
     present = np.where(
-        prev >= run_first[run_id], is_read[prev], run_p0[run_id]
+        prev >= run_first.take(run_id), is_read.take(prev), run_p0.take(run_id)
     )
     hit = np.zeros(n, bool)
-    hit[p[own]] = present[own]
-    dropped = ~own & present
-    dropper = cores[p[dropped]]
+    own_at = np.flatnonzero(own)
+    hit[p.take(own_at)] = present.take(own_at)
+    dropped = np.flatnonzero(~own & present)
+    dropper = cores.take(p.take(dropped))
+    dropped_core = core_of.take(dropped)
     return L1Outcome(
         hit=hit,
-        evictions=np.bincount(
-            groups[run_g[run_evict]] // num_sets, minlength=num_cores
-        ),
-        invalidations=np.bincount(core_of[dropped], minlength=num_cores),
+        evictions=np.bincount(groups // num_sets, evicted,
+                              minlength=num_cores).astype(np.int64),
+        invalidations=np.bincount(dropped_core, minlength=num_cores),
         sibling=int(np.count_nonzero(
-            l2_of_core[core_of[dropped]] == l2_of_core[dropper]
+            l2_of_core.take(dropped_core) == l2_of_core.take(dropper)
         )),
         groups=groups,
         ways_line=ways_line,
         ways_key=ways_key,
     )
+
+
+def _fifo_prefix(
+    runs: np.ndarray,
+    run_g: np.ndarray,
+    run_line: np.ndarray,
+    run_key: np.ndarray,
+    run_reads: np.ndarray,
+    run_ends_in: np.ndarray,
+    occ0: np.ndarray,
+    ways_line: np.ndarray,
+    ways_key: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Resolve ``runs``, each busy group's runs before its first revisit.
+
+    Each such run finds its line absent, and no run touches a line already
+    present, so a set's LRU order is the order its lines came in: it is a
+    FIFO.  A run that ends with its line in pushes the line, popping the
+    oldest one if the set was full; a run that fills and then loses its
+    line pops the oldest if full; any other run changes nothing.  So the
+    occupancy after each run is ``min(occ + a, b)`` of the one before, with
+    ``a`` 1 for a push and ``b`` the ways less 1 for a fill that was lost.
+    Those maps compose to ``min(occ0 + A, min over j of (b_j + A - A_j))``
+    with A the pushes so far, and the set ends holding the last ``occ``
+    entries of its start lines, oldest first, followed by its pushes.
+
+    Writes each group's end contents into ``ways_line``/``ways_key`` and
+    returns the groups and how many lines each evicted (every pop is an
+    eviction).
+    """
+    ways = ways_line.shape[1]
+    g = run_g.take(runs)
+    push = run_ends_in.take(runs)
+    first = starts(g)
+    at0 = np.flatnonzero(first)
+    gs = g.take(at0)
+    pushed = np.cumsum(push)                    # P, across the groups
+    before = pushed.take(at0) - push.take(at0)  # P before each group
+    total = np.append(pushed.take(at0[1:] - 1), pushed[-1])
+    # With A = P - before, min over j of (b_j + A - A_j) at a group's end
+    # is its last P plus min over j of (b_j - P_j).
+    cap = total + np.minimum.reduceat(
+        ways - (run_reads.take(runs) & ~push) - pushed, at0)
+    start_occ = occ0.take(gs)
+    queued = start_occ + total - before  # start lines plus pushes
+    drop = queued - np.minimum(queued, cap)
+
+    # Entry j of a group's queue (start lines oldest first, then its
+    # pushes) stays iff j >= drop, in way j - drop.
+    wl = ways_line.take(gs, axis=0)
+    wk = ways_key.take(gs, axis=0)
+    ways_line[gs] = EMPTY
+    flat_line = ways_line.ravel()
+    flat_key = ways_key.ravel()
+    # Start keys are negative, so free ways sort last.
+    oldest = np.argsort(np.where(wl != EMPTY, wk, 0), axis=1, kind="stable")
+    j = np.arange(ways)
+    gi, ji = np.nonzero((j >= drop[:, None]) & (j < start_occ[:, None]))
+    at = gs.take(gi) * ways + ji - drop.take(gi)
+    src = gi * ways + oldest.ravel().take(gi * ways + ji)
+    flat_line[at] = wl.ravel().take(src)
+    flat_key[at] = wk.ravel().take(src)
+    f = np.flatnonzero(push)
+    gf = (np.cumsum(first) - 1).take(f)
+    way = start_occ.take(gf) + pushed.take(f) - 1 - before.take(gf) - drop.take(gf)
+    kept = np.flatnonzero(way >= 0)
+    f = runs.take(f.take(kept))
+    at = gs.take(gf.take(kept)) * ways + way.take(kept)
+    flat_line[at] = run_line.take(f)
+    flat_key[at] = run_key.take(f)
+    return gs, drop
 
 
 def _finish_runs(
@@ -435,16 +567,16 @@ class MesiOutcome:
         hit: the requesting L2 held the line.
         holders: holder bitmask before the event.
         state: state before the event (0 none, else SHARED/EXCLUSIVE/MODIFIED).
-        supplier: the L2 a snoop is served by (-1 where no holder).
         last_in_l2: no later event on the line comes from the same L2.
-        final_holders / final_state: per dense line id, after the segment.
+        touched: dense ids of the lines with events.
+        final_holders / final_state: per touched line, after the segment.
     """
 
     hit: np.ndarray
     holders: np.ndarray
     state: np.ndarray
-    supplier: np.ndarray
     last_in_l2: np.ndarray
+    touched: np.ndarray
     final_holders: np.ndarray
     final_state: np.ndarray
 
@@ -461,78 +593,76 @@ def resolve_mesi(
 
     ``l2``/``u``/``writes`` are the L2 events in global order: requesting
     L2, dense line id, store flag.  ``start_holders``/``start_state`` give
-    each dense line's holder mask and highest state at the segment start.
+    each dense line's holder mask and state at the segment start (state 0
+    where no L2 holds it).  A line with a single event meets its start
+    state; only lines with more go through the prefix passes.
     """
     num_l2 = len(wiring.bit)
-    o = sort_order(u)
-    c = l2[o]
-    lu = u[o]
-    w = writes[o]
-    e_total = len(o)
-    idx = np.arange(e_total)
-    line_start = np.maximum.accumulate(np.where(starts(lu), idx, 0))
-    last_write = prev_marked(w)
-    reset = last_write >= line_start
-    since = np.where(reset, last_write, line_start)
-    # L2s that read the line since ``since``: column e of ``seen`` holds,
-    # per L2, its last read before event e.
-    rd = np.flatnonzero(~w)
-    if len(rd):
+    num_lines = len(start_holders)
+    holders = start_holders.take(u)
+    state = start_state.take(u)
+    last = np.ones(len(u), bool)       # no later event on the line
+    last_here = np.ones(len(u), bool)  # no later event on it from this L2
+    multi = np.flatnonzero(np.bincount(u, minlength=num_lines).take(u) > 1)
+    if len(multi):
+        o = multi.take(sort_order(u.take(multi)))
+        c = l2.take(o)
+        lu = u.take(o)
+        w = writes.take(o)
+        e_total = len(o)
+        line_start = np.maximum.accumulate(
+            np.where(starts(lu), np.arange(e_total), 0))
+        last_write = prev_marked(w)
+        reset = last_write >= line_start
+        since = np.where(reset, last_write, line_start)
+        # L2s that read the line since ``since``: column e of ``seen``
+        # holds, per L2, its last read before event e.
+        rd = np.flatnonzero(~w)
         seen = np.full((num_l2, e_total + 1), -1, np.int64)
-        seen[c[rd], rd + 1] = rd
+        seen[c.take(rd), rd + 1] = rd
         np.maximum.accumulate(seen, axis=1, out=seen)
         readers = wiring.bit @ (seen[:, :-1] >= since)
-    else:
-        readers = np.zeros(e_total, np.int64)
 
-    writer_bit = wiring.bit[c[np.where(reset, last_write, 0)]]
-    h0 = start_holders[lu]
-    holders = np.where(reset, writer_bit, h0) | readers
-    state = np.where(
-        reset,
-        np.where(readers & ~writer_bit, SHARED, MODIFIED),
-        np.where(
-            h0 == 0,
-            np.where(wiring.pop[readers] == 1, EXCLUSIVE, SHARED),
-            np.where(readers & ~h0, SHARED, start_state[lu]),
-        ),
-    )
-    state[holders == 0] = 0
-    mine = wiring.bit[c]
-    hit = (holders & mine) != 0
-    supplier = wiring.supplier[(c << num_l2) + holders]
+        writer_bit = wiring.bit.take(c.take(np.where(reset, last_write, 0)))
+        h0 = holders.take(o)
+        h = np.where(reset, writer_bit, h0) | readers
+        st = np.where(
+            reset,
+            np.where(readers & ~writer_bit, SHARED, MODIFIED),
+            np.where(
+                h0 == 0,
+                np.where(wiring.pop.take(readers) == 1, EXCLUSIVE, SHARED),
+                np.where(readers & ~h0, SHARED, state.take(o)),
+            ),
+        )
+        st[h == 0] = 0
+        holders[o] = h
+        state[o] = st
+        last[o.compress(~ends(lu))] = False
+        # Last event of each (L2, line): the ends of the (L2, line)-major order.
+        pair = c * num_lines + lu
+        by_pair = sort_order(pair)
+        last_here[o.take(by_pair.compress(~ends(pair.take(by_pair))))] = False
+    hit = (holders & wiring.bit.take(l2)) != 0
 
-    last = ends(lu)
-    final_holders = start_holders.copy()
-    final_state = start_state.copy()
-    at = lu[last]
-    final_holders[at] = np.where(
-        w[last], mine[last], holders[last] | mine[last]
-    )
-    final_state[at] = np.where(
-        w[last], MODIFIED,
-        np.where(hit[last], state[last],
-                 np.where(holders[last] != 0, SHARED, EXCLUSIVE)),
-    )
-    # Last event of each (L2, line): the ends of the (L2, line)-major order.
-    pair = c * (int(lu[-1]) + 1 if e_total else 1) + lu
-    by_pair = sort_order(pair)
-    last_here = np.zeros(e_total, bool)
-    last_here[by_pair[ends(pair[by_pair])]] = True
-
-    def unsort(a: np.ndarray) -> np.ndarray:
-        out = np.empty_like(a)
-        out[o] = a
-        return out
-
+    # A write leaves the writer alone in M; a read adds its L2, keeping
+    # the state on a hit, else S when others hold the line, E when none.
+    at = np.flatnonzero(last)
+    h = holders.take(at)
+    mine = wiring.bit.take(l2.take(at))
+    w = writes.take(at)
     return MesiOutcome(
-        hit=unsort(hit),
-        holders=unsort(holders),
-        state=unsort(state),
-        supplier=unsort(supplier),
-        last_in_l2=unsort(last_here),
-        final_holders=final_holders,
-        final_state=final_state,
+        hit=hit,
+        holders=holders,
+        state=state,
+        last_in_l2=last_here,
+        touched=u.take(at),
+        final_holders=np.where(w, mine, h | mine),
+        final_state=np.where(
+            w, MODIFIED,
+            np.where(hit.take(at), state.take(at),
+                     np.where(h != 0, SHARED, EXCLUSIVE)),
+        ),
     )
 
 
@@ -541,10 +671,12 @@ class LineDirectory:
 
     Rows are handed out 64 lines at a time (one block per 64-line-aligned
     range touched), so a lookup is a ``searchsorted`` over the sorted
-    block numbers; row order never changes once given.
+    block numbers; row order never changes once given.  A line's holders
+    all share one MESI state (S when more than one holds it).
 
     Attributes:
-        state: (columns, capacity) MESI state per L2 and row.
+        holders: per row, the bitmask of the L2s holding the line.
+        state: per row, the MESI state of its holders (0 where none).
         stamp: (columns, capacity) LRU stamp per L2 and row, as an offset
             the owner picks.
         used: rows handed out so far.
@@ -556,7 +688,8 @@ class LineDirectory:
         self._sorted = np.zeros(0, np.int64)   # block numbers, ascending
         self._base = np.zeros(0, np.int64)     # first row of each of those
         self._by_row = np.zeros(0, np.int64)   # block number per row block
-        self.state = np.zeros((columns, 0), np.int8)
+        self.holders = np.zeros(0, np.int64)
+        self.state = np.zeros(0, np.int8)
         self.stamp = np.zeros((columns, 0), np.int32)
         self.used = 0
 
@@ -564,28 +697,28 @@ class LineDirectory:
         """Row of each of ``lines`` (ascending), allocating as needed."""
         blocks = lines // self.BLOCK
         first = starts(blocks)
-        distinct = blocks[first]
+        distinct = blocks.compress(first)
         at = np.minimum(np.searchsorted(self._sorted, distinct), len(self._sorted) - 1)
-        found = (self._sorted[at] == distinct if len(self._sorted)
+        found = (self._sorted.take(at) == distinct if len(self._sorted)
                  else np.zeros(len(distinct), bool))
         if not found.all():
-            new = distinct[~found]
+            new = distinct.compress(~found)
             base = self.used + self.BLOCK * np.arange(len(new))
             self.used += self.BLOCK * len(new)
-            if self.used > self.state.shape[1]:
-                cap = max(self.used, self.state.shape[1] * 3 // 2)
-                for name in ("state", "stamp"):
+            if self.used > len(self.state):
+                cap = max(self.used, len(self.state) * 3 // 2)
+                for name in ("holders", "state", "stamp"):
                     old = getattr(self, name)
-                    grown = np.zeros((old.shape[0], cap), old.dtype)
-                    grown[:, :old.shape[1]] = old
+                    grown = np.zeros(old.shape[:-1] + (cap,), old.dtype)
+                    grown[..., :old.shape[-1]] = old
                     setattr(self, name, grown)
             self._by_row = np.concatenate([self._by_row, new])
             merged = np.concatenate([self._sorted, new])
             order = np.argsort(merged, kind="stable")
-            self._sorted = merged[order]
-            self._base = np.concatenate([self._base, base])[order]
+            self._sorted = merged.take(order)
+            self._base = np.concatenate([self._base, base]).take(order)
             at = np.searchsorted(self._sorted, distinct)
-        return self._base[at][np.cumsum(first) - 1] + lines % self.BLOCK
+        return self._base.take(at).take(np.cumsum(first) - 1) + lines % self.BLOCK
 
     def lines(self, rows: np.ndarray) -> np.ndarray:
         """Line number of each of ``rows``."""

@@ -134,6 +134,23 @@ class TestSuite:
             deltas.append((served.value - before[0], hits.value - before[1]))
         assert deltas == [(1, 0), (1, 1)]
 
+    def test_pooled_fresh_cells_count_in_the_caller(self, tmp_path):
+        # A pool worker counts into its own registry; the caller counts
+        # each fresh cell once, as a serial run does.
+        reg = global_registry()
+        served = reg.counter("runner_benchmarks_total")
+        hits = reg.counter("runner_cache_hits_total")
+        spec = _spec(("ep", "ft"))
+
+        def counted(**kwargs):
+            before = (served.value, hits.value)
+            run_spec(spec, **kwargs)
+            return served.value - before[0], hits.value - before[1]
+
+        assert counted(workers=2, cache_dir=str(tmp_path)) == (2, 0)
+        assert counted(workers=2, cache_dir=str(tmp_path)) == (2, 2)
+        assert counted() == (2, 0)
+
     def test_reproducible(self):
         cfg = ExperimentConfig(
             benchmarks=("ft",), scale=0.1, os_runs=1, mapped_runs=1,

@@ -5,9 +5,9 @@
 #   make lint-full     repro-lint with the incremental cache disabled
 #   make test          tier-1 test suite (default/batched engine)
 #   make test-scalar   tier-1 suite forced onto the scalar reference engine
-#   make differential  identity gates: scalar-vs-batched engine, array-vs-loop
-#                      mapping path, golden /map response bytes, golden
-#                      spec artifacts
+#   make differential  identity gates: scalar-vs-batched engine, TLB vs its
+#                      reference, array-vs-loop mapping path, golden /map
+#                      response bytes, golden spec artifacts
 #   make bench-engine  engine speedup smoke benchmark
 #   make spec-smoke    declarative-spec gate: cold run, warm run all-hits
 #   make serve-smoke   boot `repro serve`, round-trip, SIGTERM drain
@@ -42,15 +42,17 @@ test-scalar:
 	REPRO_SIM_ENGINE=scalar $(PYTHON) -m pytest tests -x -q
 
 # Identity contracts: the batched engine against the scalar one (whole
-# simulations, and access_batch per segment on a tiny machine), and the
-# array code on the /map miss path (canonical form, merge-round H, blossom
-# matcher, locality) against its loop references in tests/reference, plus
-# the golden /map response bytes written by those loops, and every spec's
-# rendered artifacts against the goldens written by the hand-rolled bench
-# scripts the specs replaced.
+# simulations, and access_batch per segment on a tiny machine), the TLB
+# both engines share against its stamp-based reference in tests/reference,
+# and the array code on the /map miss path (canonical form, merge-round H,
+# blossom matcher, locality) against its loop references in
+# tests/reference, plus the golden /map response bytes written by those
+# loops, and every spec's rendered artifacts against the goldens written
+# by the hand-rolled bench scripts the specs replaced.
 differential:
 	$(PYTHON) -m pytest tests/machine/test_engine_differential.py \
 		tests/mem/test_segment_differential.py \
+		tests/tlb/test_tlb_differential.py \
 		tests/test_array_differential.py tests/service/test_map_golden.py \
 		tests/experiments/test_spec_differential.py -q
 

@@ -101,36 +101,25 @@ class HardwareManagedDetector(Detector):
     def _scan(self, now_cycles: int = 0) -> None:
         """Compare every pair of TLBs set-by-set for matching entries."""
         cores = self._cores
-        tlbs = self._tlbs
         c2t = self._core_to_thread
         ignored = self.ignored_pages
-        num_sets = tlbs[cores[0]].config.num_sets
+        sets = [self._tlbs[core].set_keys() for core in cores]
         for ai in range(len(cores)):
-            core_a = cores[ai]
-            thread_a = c2t[core_a]
-            tlb_a = tlbs[core_a]
+            thread_a = c2t[cores[ai]]
+            sets_a = sets[ai]
             for bi in range(ai + 1, len(cores)):
-                core_b = cores[bi]
-                thread_b = c2t[core_b]
-                tlb_b = tlbs[core_b]
                 matches = 0
-                for s in range(num_sets):
-                    entries_a = tlb_a.set_entries(s)
-                    if not entries_a:
-                        continue
-                    entries_b = tlb_b.set_entries(s)
-                    if not entries_b:
-                        continue
-                    # Set-associative: only same-set entries can match,
-                    # which is what drops the complexity from Θ(P²S²)
-                    # (fully associative) to Θ(P²S).
-                    eb = set(entries_b)
-                    for vpn in entries_a:
-                        if vpn in eb and vpn not in ignored:
-                            matches += 1
+                # Set-associative: only same-set entries can match, which
+                # is what drops the complexity from Θ(P²S²) (fully
+                # associative) to Θ(P²S).
+                for keys_a, keys_b in zip(sets_a, sets[bi]):
+                    if keys_a and keys_b:
+                        common = keys_a & keys_b
+                        if common:
+                            matches += len(common - ignored if ignored else common)
                 if matches:
                     self.matches_found += matches
-                    self._emit(thread_a, thread_b, float(matches), now_cycles)
+                    self._emit(thread_a, c2t[cores[bi]], float(matches), now_cycles)
 
     # -- reporting ------------------------------------------------------------------
 

@@ -14,10 +14,12 @@ the paper's measured quantity in Figure 6.
 
 from __future__ import annotations
 
+import itertools
 import os
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Protocol, Sequence, Set, Tuple, Union,
+)
 
 import numpy as np
 
@@ -214,18 +216,27 @@ class _GlobalOrder:
     the stream lengths and the quantum; the core of each access follows
     from :attr:`threads` and the mapping in force.
 
+    A chunk's *heads* are its first access and every access to another
+    page than the one before.  The other accesses repeat the page just
+    translated on the same core, so they are TLB hits that leave the
+    recency order as it is.
+
     Attributes:
         rounds: scheduling rounds in the phase.
-        threads / lines / writes: per access, in global order.
+        threads / addrs / writes: per access, in global order.
         chunk_start: global position of each chunk, plus the total at the end.
+        chunk_thread: thread of each chunk.
         round_chunk: first chunk of each round, plus the chunk count at the end.
+        head_vpns: page of each head, in global order.
+        chunk_head: first head of each chunk, plus the head count at the end.
+        repeats: accesses of each chunk that are not heads.
     """
 
-    def __init__(self, streams: Sequence[AccessStream], lengths: List[int],
-                 quantum: int, line_shift: int):
-        n = np.array(lengths, np.int64)
+    def __init__(self, streams: Sequence[AccessStream], quantum: int,
+                 page_shift: int):
+        n = np.array([len(s) for s in streams], np.int64)
         quanta = -(-n // quantum)
-        self.rounds = int(quanta.max()) if len(n) else 0
+        self.rounds = int(quanta.max())
         rnd, thread = np.nonzero(np.arange(self.rounds)[:, None] < quanta[None, :])
         offset = rnd * quantum
         size = np.minimum(quantum, n[thread] - offset)
@@ -235,9 +246,38 @@ class _GlobalOrder:
             (np.cumsum(n) - n)[thread] + offset - self.chunk_start[:-1], size
         ) + np.arange(int(self.chunk_start[-1]))
         self.threads = np.repeat(thread, size)
-        self.lines = np.concatenate([s.addrs for s in streams])[src] >> line_shift
+        self.addrs = np.concatenate([s.addrs for s in streams])[src]
         self.writes = np.concatenate([s.writes for s in streams])[src]
-        self.round_chunk = np.searchsorted(rnd, np.arange(self.rounds + 1))
+        self.chunk_thread = thread.tolist()
+        self.round_chunk = np.searchsorted(rnd, np.arange(self.rounds + 1)).tolist()
+        vpns = self.addrs >> page_shift
+        head = np.ones(len(vpns), bool)
+        np.not_equal(vpns[1:], vpns[:-1], out=head[1:])
+        head[self.chunk_start[:-1]] = True
+        head_at = np.flatnonzero(head)
+        self.head_vpns = vpns.take(head_at).tolist()
+        chunk_head = np.searchsorted(head_at, self.chunk_start)
+        self.chunk_head = chunk_head.tolist()
+        self.repeats = (np.diff(self.chunk_start) - np.diff(chunk_head)).tolist()
+
+
+def _disjoint_groups(phases: Iterable[Phase]) -> Iterator[List[Phase]]:
+    """Consecutive phases whose active threads are pairwise disjoint.
+
+    A thread is active in a phase if its stream there is not empty.  Under
+    one mapping, disjoint threads run on disjoint cores.
+    """
+    group: List[Phase] = []
+    busy: Set[int] = set()
+    for phase in phases:
+        active = {t for t, s in enumerate(phase.streams) if len(s)}
+        if not busy.isdisjoint(active):
+            yield group
+            group, busy = [], set()
+        group.append(phase)
+        busy |= active
+    if group:
+        yield group
 
 
 class Simulator:
@@ -418,92 +458,90 @@ class Simulator:
         on_tick = migration_controller.on_tick if tick_interval > 0 else None
         next_tick = tick_interval
 
-        def run_phase(phase: Phase) -> int:
+        def resolve(slices: List[Tuple[_GlobalOrder, int, int]]) -> List[List[int]]:
+            """Resolve chunks ``first..last`` of each ``(order, first,
+            last)``, in turn, as one segment.  Returns, per slice, the
+            memory cycles of each of its chunks."""
+            cores, lines, writes, heads = [], [], [], []
+            at = 0
+            for order, first, last in slices:
+                lo = order.chunk_start[first]
+                hi = order.chunk_start[last]
+                cores.append(np.asarray(mapping, np.int64)[order.threads[lo:hi]])
+                lines.append(order.addrs[lo:hi] >> line_shift)
+                writes.append(order.writes[lo:hi])
+                heads.append(order.chunk_start[first:last] - lo + at)
+                at += int(hi - lo)
+            per_chunk: List[int] = []
+            if at:
+                lat = access_batch(np.concatenate(cores), np.concatenate(lines),
+                                   np.concatenate(writes), 0, at)
+                per_chunk = np.add.reduceat(lat, np.concatenate(heads)).tolist()
+            out = []
+            at = 0
+            for _order, first, last in slices:
+                out.append(per_chunk[at:at + last - first])
+                at += last - first
+            return out
+
+        def run_phase(order: _GlobalOrder, mem: Optional[List[int]]) -> None:
+            """Run one phase's rounds.  ``mem`` holds each chunk's memory
+            cycles, or is None to resolve one segment per round."""
             nonlocal next_tick
-            done = 0
-            streams = phase.streams
+            chunk_start = order.chunk_start.tolist()
+            chunk_thread = order.chunk_thread
+            round_chunk = order.round_chunk
             if batched:
-                seqs = [s.sequences(page_shift) for s in streams]
-                lengths = [sq.length for sq in seqs]
-                order = _GlobalOrder(streams, lengths, quantum, line_shift)
-                # One segment per phase, or per round when a tick may remap
-                # mid-phase; nothing between quanta touches cache state.
-                segment_rounds = 1 if on_tick is not None else order.rounds
-                mem: List[int] = []
-                chunk = seg_chunk = 0
+                head_vpns = order.head_vpns
+                chunk_head = order.chunk_head
+                repeats = order.repeats
             else:
-                addrs = [s.addrs.tolist() for s in streams]
-                writes = [s.writes.tolist() for s in streams]
-                lengths = [len(a) for a in addrs]
-            pos = [0] * len(streams)
-            active = [t for t in range(len(streams)) if lengths[t]]
-            round_index = 0
-            while active:
-                if batched and round_index % segment_rounds == 0:
-                    first = order.round_chunk[round_index]
-                    last = order.round_chunk[
-                        min(round_index + segment_rounds, order.rounds)
-                    ]
-                    lo = order.chunk_start[first]
-                    hi = order.chunk_start[last]
-                    cores = np.asarray(mapping, np.int64)[order.threads[lo:hi]]
-                    lat = access_batch(cores, order.lines[lo:hi],
-                                       order.writes[lo:hi], 0, int(hi - lo))
-                    mem = np.add.reduceat(
-                        lat, order.chunk_start[first:last] - lo
-                    ).tolist()
+                addrs = order.addrs.tolist()
+                writes = order.writes.tolist()
+            seg_mem = mem
+            seg_chunk = 0
+            for r in range(order.rounds):
+                first = round_chunk[r]
+                last = round_chunk[r + 1]
+                if batched and mem is None:
+                    # A tick may remap between rounds; nothing between
+                    # quanta touches cache state.
+                    seg_mem = resolve([(order, first, last)])[0]
                     seg_chunk = first
-                round_index += 1
-                for t in active[:]:
+                for c in range(first, last):
+                    t = chunk_thread[c]
                     core = mapping[t]
-                    i = pos[t]
-                    n = lengths[t]
-                    end = min(i + quantum, n)
+                    mmu = system.mmus[core]
                     # Quantum-start clock refresh: miss hooks (SM detection)
                     # receive this as the access timestamp, so trace events
                     # and streaming sinks are stamped with simulated time at
                     # quantum resolution.
-                    system.mmus[core].now_cycles = core_cycles[core]
+                    mmu.now_cycles = core_cycles[core]
+                    lo = chunk_start[c]
+                    hi = chunk_start[c + 1]
                     if batched:
                         # Guaranteed-hit contract: quantum boundaries can
                         # flush/evict TLB entries (noise, migrations), so
-                        # every quantum opens with a scalar translation and
-                        # batches only the same-page run tails inside it.
-                        sq = seqs[t]
-                        vpns = sq.vpns
-                        run_starts = sq.run_starts
-                        mmu = system.mmus[core]
-                        tr_vpn = mmu.translate_vpn
-                        tr_batch = mmu.translate_batch
-                        cyc = (end - i) * base + mem[chunk - seg_chunk]
-                        chunk += 1
-                        j = i
-                        k = bisect_right(run_starts, j)
-                        while j < end:
-                            nxt = run_starts[k] if k < len(run_starts) else n
-                            run_end = nxt if nxt < end else end
-                            vpn = vpns[j]
-                            cyc += tr_vpn(vpn)
-                            if run_end - j > 1:
-                                cyc += tr_batch(vpn, run_end - j - 1)
-                            j = run_end
-                            k += 1
+                        # every head is a full translation; the repeats
+                        # are hits on the page translated just before, and
+                        # the quantum's last page stays resident.
+                        cyc = (hi - lo) * base + seg_mem[c - seg_chunk]
+                        tr = mmu.translate_vpn
+                        h0 = chunk_head[c]
+                        h1 = chunk_head[c + 1]
+                        for vpn in head_vpns[h0:h1]:
+                            cyc += tr(vpn)
+                        if repeats[c]:
+                            cyc += mmu.translate_batch(head_vpns[h1 - 1], repeats[c])
                     else:
-                        a = addrs[t]
-                        w = writes[t]
                         tr = translate[core]
                         cyc = 0
-                        while i < end:
-                            addr = a[i]
-                            cyc += base + tr(addr) + access(core, addr, w[i])
-                            i += 1
+                        for i in range(lo, hi):
+                            addr = addrs[i]
+                            cyc += base + tr(addr) + access(core, addr, writes[i])
                     core_cycles[core] += cyc
-                    done += end - pos[t]
-                    pos[t] = end
                     if noise_rngs is not None:
                         maybe_preempt(t, core)
-                    if end == n:
-                        active.remove(t)
                 if detectors:
                     now = max(core_cycles)
                     for det in detectors:
@@ -521,7 +559,6 @@ class Simulator:
                         proposed = on_tick(now, list(mapping))
                         if proposed is not None:
                             apply_mapping(list(proposed))
-            return done
 
         migrations = 0
         threads_migrated = 0
@@ -629,39 +666,45 @@ class Simulator:
                 },
             )
 
-        phase_index = 0
-        before = counters_snapshot() if want_snapshots else None
-        pspan = (
-            tracer.begin(f"phase:{first.name}", cat="sim.phase", cycles=before[0])
-            if traced
-            else None
-        )
-        done = run_phase(first)
-        total_accesses += done
-        if pspan is not None:
-            trace_phase(before, pspan, done)
-        if collect_phases:
-            record_phase(first, before, done)
-        handle_migration(phase_index)
-        for phase in rest:
-            phase_index += 1
-            # Barrier: everyone waits for the slowest core.
-            sync = max(core_cycles)
-            for c in range(num_cores):
-                core_cycles[c] = sync
-            before = counters_snapshot() if want_snapshots else None
-            pspan = (
-                tracer.begin(f"phase:{phase.name}", cat="sim.phase", cycles=before[0])
-                if traced
-                else None
-            )
-            done = run_phase(phase)
-            total_accesses += done
-            if pspan is not None:
-                trace_phase(before, pspan, done)
-            if collect_phases:
-                record_phase(phase, before, done)
-            handle_migration(phase_index)
+        # Segments: one per group of consecutive phases on disjoint cores,
+        # which never meet in a (core, L1 set) group; resolving them
+        # together is exact while nothing reads or changes cache state at
+        # their barriers.  A remap controller, phase stats and tracing do,
+        # so then each phase is a segment (each round, when ticks may
+        # remap mid-phase).
+        phases = itertools.chain([first], rest)
+        if batched and migration_controller is None and not want_snapshots:
+            groups = _disjoint_groups(phases)
+        else:
+            groups = ([phase] for phase in phases)
+        phase_index = -1
+        for group in groups:
+            orders = [_GlobalOrder(p.streams, quantum, page_shift) for p in group]
+            mems: List[Optional[List[int]]] = [None] * len(group)
+            for k, (phase, order) in enumerate(zip(group, orders)):
+                phase_index += 1
+                if phase_index:
+                    # Barrier: everyone waits for the slowest core.
+                    sync = max(core_cycles)
+                    for c in range(num_cores):
+                        core_cycles[c] = sync
+                before = counters_snapshot() if want_snapshots else None
+                pspan = (
+                    tracer.begin(f"phase:{phase.name}", cat="sim.phase",
+                                 cycles=before[0])
+                    if traced
+                    else None
+                )
+                if k == 0 and batched and on_tick is None:
+                    mems = resolve([(o, 0, len(o.chunk_thread)) for o in orders])
+                run_phase(order, mems[k])
+                done = int(order.chunk_start[-1])
+                total_accesses += done
+                if pspan is not None:
+                    trace_phase(before, pspan, done)
+                if collect_phases:
+                    record_phase(phase, before, done)
+                handle_migration(phase_index)
 
         execution_cycles = max(core_cycles)
         h = system.hierarchy

@@ -706,7 +706,9 @@ class LineDirectory:
             base = self.used + self.BLOCK * np.arange(len(new))
             self.used += self.BLOCK * len(new)
             if self.used > len(self.state):
-                cap = max(self.used, len(self.state) * 3 // 2)
+                # Power-of-two capacities: each copy at least doubles, so
+                # the rows copied over a run stay below the final size.
+                cap = 1 << (self.used - 1).bit_length()
                 for name in ("holders", "state", "stamp"):
                     old = getattr(self, name)
                     grown = np.zeros(old.shape[:-1] + (cap,), old.dtype)

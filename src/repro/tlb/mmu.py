@@ -98,13 +98,11 @@ class MMU:
     def translate_vpn(self, vpn: int) -> int:
         """Like :meth:`translate`, for a pre-split virtual page number.
 
-        The batched engine precomputes per-stream VPN sequences once per
-        phase and feeds them here directly, skipping the per-access shift.
+        The batched engine splits a phase's pages in one array pass and
+        feeds here the first access of each same-page run of a quantum.
         """
         if vpn < 0:
-            # A negative VPN would collide with the TLB's empty-way
-            # sentinel and corrupt residency probes; no valid virtual
-            # address produces one.
+            # No valid virtual address produces one.
             raise ValueError(f"cannot translate negative VPN {vpn}")
         if self.tlb.lookup(vpn):
             return 0
@@ -125,11 +123,13 @@ class MMU:
     def translate_batch(self, vpn: int, count: int) -> int:
         """Account ``count`` guaranteed L1-TLB-hit translations of ``vpn``.
 
-        Batched-engine fast path for the tail of a same-page access run:
-        the page was translated (and thus made resident) by the run's
-        first access, so every repeat is a free hit — no walk, no trap, no
-        miss hooks, no L2-TLB traffic.  Returns the cycles charged (0,
-        matching ``count`` hit calls of :meth:`translate`).
+        Batched-engine fast path for the repeats of a quantum: each repeat
+        accesses the page translated just before it, so it is a free hit
+        (no walk, no trap, no miss hooks, no L2-TLB traffic) that leaves
+        the recency order as it is.  The simulator charges all of a
+        quantum's repeats in one call, on its last translated page.
+        Returns the cycles charged (0, matching ``count`` hit calls of
+        :meth:`translate`).
         """
         self.tlb.lookup_batch(vpn, count)
         return 0

@@ -55,6 +55,7 @@ class PageTable:
         self.config = config or PageTableConfig()
         self._entries: Dict[int, int] = {}
         self._next_frame = 0
+        self._walk_latency = self.config.walk_latency
         self.walks = 0
         self.faults = 0
 
@@ -71,8 +72,8 @@ class PageTable:
             pfn = self._next_frame
             self._next_frame += 1
             self._entries[vpn] = pfn
-            return pfn, self.config.walk_latency + self.config.level_latency
-        return pfn, self.config.walk_latency
+            return pfn, self._walk_latency + self.config.level_latency
+        return pfn, self._walk_latency
 
     def translate(self, vpn: int) -> int | None:
         """Current translation for ``vpn`` without touching counters, or None."""

@@ -5,25 +5,27 @@ per-core translation cache whose residency set approximates "pages this
 core touched recently".  The default geometry — 64 entries, 4-way — is the
 paper's (the UltraSPARC D-TLB and the Nehalem L1 D-TLB size).
 
+A set is fully described by its recency order (the LRU stack), so each
+set is a dict from page to frame, least recently used first: a hit moves
+its page to the end, a fill into a full set evicts the first page.
+
 Besides the usual lookup/fill interface the class exposes the two probe
 operations the detection mechanisms need:
 
 * ``probe(vpn)`` — non-destructive membership test (SM searches the *other*
-  cores' TLBs for the page that just missed); Θ(ways) for a set-associative
-  TLB, which is the paper's Θ(P) argument.
-* ``set_entries(index)`` / ``resident_pages()`` — bulk content access used
-  by the HM mechanism's periodic all-pairs scan.
+  cores' TLBs for the page that just missed).  In hardware it compares the
+  ways of one set, Θ(ways): the paper's Θ(P) argument, and the cost the
+  detectors charge as cycles.  In Python it is one dict lookup.
+* ``set_keys()`` / ``set_entries(index)`` / ``resident_pages()`` — bulk
+  content access used by the HM mechanism's periodic all-pairs scan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterator, KeysView, List, Optional
 
 from repro.util.validation import check_power_of_two
-
-#: Sentinel tag for an empty way.
-_EMPTY = -1
 
 
 @dataclass(frozen=True)
@@ -85,23 +87,19 @@ class TLBStats:
 class TLB:
     """One core's translation lookaside buffer.
 
-    Tags are virtual page numbers; the stored translation (physical frame)
-    is kept alongside so the model round-trips real translations, although
-    the detection mechanisms only ever compare the virtual tags.
+    Each set maps virtual page numbers to physical frames, least recently
+    used first.  The frame is kept so the model round-trips real
+    translations, although the detection mechanisms only ever compare the
+    virtual tags.
     """
 
     def __init__(self, config: Optional[TLBConfig] = None, core_id: int = 0):
         self.config = config or TLBConfig()
         self.core_id = core_id
         self.stats = TLBStats()
-        n = self.config.num_sets
-        w = self.config.ways
-        # Parallel per-set arrays: plain lists beat numpy for sub-10-way scans.
-        self._tags: List[List[int]] = [[_EMPTY] * w for _ in range(n)]
-        self._pfns: List[List[int]] = [[_EMPTY] * w for _ in range(n)]
-        self._stamp: List[List[int]] = [[0] * w for _ in range(n)]
-        self._clock = 0
-        self._set_mask = n - 1
+        self._sets: List[Dict[int, int]] = [{} for _ in range(self.config.num_sets)]
+        self._set_mask = self.config.num_sets - 1
+        self._ways = self.config.ways
 
     # -- core interface ----------------------------------------------------
 
@@ -111,40 +109,36 @@ class TLB:
 
     def lookup(self, vpn: int) -> bool:
         """LRU-updating lookup.  Returns hit/miss and counts it."""
-        self._clock += 1
-        tags = self._tags[vpn & self._set_mask]
-        for way, tag in enumerate(tags):
-            if tag == vpn:
-                self._stamp[vpn & self._set_mask][way] = self._clock
-                self.stats.hits += 1
-                return True
-        self.stats.misses += 1
-        return False
+        entries = self._sets[vpn & self._set_mask]
+        pfn = entries.pop(vpn, None)
+        if pfn is None:
+            self.stats.misses += 1
+            return False
+        entries[vpn] = pfn
+        self.stats.hits += 1
+        return True
 
     def lookup_batch(self, vpn: int, count: int) -> None:
         """Account ``count`` guaranteed-hit lookups of a resident ``vpn``.
 
         Batched-engine entry point: within one scheduling quantum, every
-        repeat access to the page just translated is a certain hit (the
-        entry is MRU and nothing else touches this TLB until the quantum
-        ends), so the per-lookup loop collapses to one counter/stamp
-        update.  The final TLB state is bit-identical to ``count`` calls
-        of :meth:`lookup`.
+        repeat access to a page the quantum translated is a certain hit,
+        and a hit on the most recently used page leaves the recency order
+        as it is, so the repeats of a whole quantum collapse to one
+        counter update.  The final TLB state is bit-identical to ``count``
+        calls of :meth:`lookup`.
 
         Raises KeyError if ``vpn`` is not resident — the caller broke the
         guaranteed-hit contract.
         """
-        idx = vpn & self._set_mask
-        tags = self._tags[idx]
+        entries = self._sets[vpn & self._set_mask]
         try:
-            way = tags.index(vpn)
-        except ValueError:
+            entries[vpn] = entries.pop(vpn)
+        except KeyError:
             raise KeyError(
                 f"lookup_batch: vpn {vpn:#x} not resident in core "
                 f"{self.core_id}'s TLB"
             ) from None
-        self._clock += count
-        self._stamp[idx][way] = self._clock
         self.stats.hits += count
 
     def fill(self, vpn: int, pfn: int = 0) -> Optional[int]:
@@ -153,56 +147,32 @@ class TLB:
         Returns the evicted virtual page number, or None if a free way was
         used.  Filling a vpn that is already resident refreshes it in place.
         """
-        self._clock += 1
-        idx = vpn & self._set_mask
-        tags = self._tags[idx]
-        stamps = self._stamp[idx]
-        free = -1
-        for way, tag in enumerate(tags):
-            if tag == vpn:
-                self._pfns[idx][way] = pfn
-                stamps[way] = self._clock
-                return None
-            if tag == _EMPTY and free < 0:
-                free = way
+        entries = self._sets[vpn & self._set_mask]
+        if vpn in entries:
+            del entries[vpn]
+            entries[vpn] = pfn
+            return None
         self.stats.fills += 1
-        if free >= 0:
-            way = free
-            evicted = None
-        else:
-            # Manual LRU scan over <= `ways` stamps (hot path).
-            way = 0
-            best = stamps[0]
-            for w in range(1, len(stamps)):
-                if stamps[w] < best:
-                    best = stamps[w]
-                    way = w
-            evicted = tags[way]
+        evicted = None
+        if len(entries) >= self._ways:
+            for evicted in entries:  # the first key: least recently used
+                break
+            del entries[evicted]
             self.stats.evictions += 1
-        tags[way] = vpn
-        self._pfns[idx][way] = pfn
-        stamps[way] = self._clock
+        entries[vpn] = pfn
         return evicted
 
     def invalidate(self, vpn: int) -> bool:
         """Drop a translation (TLB shootdown).  Returns whether present."""
-        idx = vpn & self._set_mask
-        tags = self._tags[idx]
-        for way, tag in enumerate(tags):
-            if tag == vpn:
-                tags[way] = _EMPTY
-                self._pfns[idx][way] = _EMPTY
-                self.stats.invalidations += 1
-                return True
-        return False
+        if self._sets[vpn & self._set_mask].pop(vpn, None) is None:
+            return False
+        self.stats.invalidations += 1
+        return True
 
     def flush(self) -> None:
         """Drop all translations (context switch / full shootdown)."""
-        for idx in range(len(self._tags)):
-            w = self.config.ways
-            self._tags[idx] = [_EMPTY] * w
-            self._pfns[idx] = [_EMPTY] * w
-            self._stamp[idx] = [0] * w
+        for entries in self._sets:
+            entries.clear()
 
     # -- detection-mechanism interface --------------------------------------
 
@@ -211,30 +181,28 @@ class TLB:
 
         This is the SM mechanism's primitive: on a miss in core A, probe the
         TLBs of all other cores for the missing page.
-
-        Negative page numbers are never resident: empty ways are tagged
-        with the ``_EMPTY`` sentinel (-1) inside ``_tags``, so an unguarded
-        membership test would report a phantom hit for ``vpn == -1`` on
-        any set with a free way.
         """
-        return vpn >= 0 and vpn in self._tags[vpn & self._set_mask]
+        return vpn in self._sets[vpn & self._set_mask]
 
     def set_entries(self, index: int) -> List[int]:
-        """Resident virtual page numbers of set ``index`` (no sentinels)."""
-        return [t for t in self._tags[index] if t != _EMPTY]
+        """Resident virtual page numbers of set ``index``, LRU first."""
+        return list(self._sets[index])
+
+    def set_keys(self) -> List[KeysView[int]]:
+        """Every set's resident pages as a live view, LRU first.
+
+        The HM scan intersects these set by set; a view follows its set
+        through later lookups, fills and flushes.
+        """
+        return [entries.keys() for entries in self._sets]
 
     def resident_pages(self) -> List[int]:
         """All resident virtual page numbers (the TLB 'snapshot')."""
-        out: List[int] = []
-        for tags in self._tags:
-            for t in tags:
-                if t != _EMPTY:
-                    out.append(t)
-        return out
+        return [vpn for entries in self._sets for vpn in entries]
 
     def occupancy(self) -> int:
         """Number of live entries."""
-        return sum(1 for tags in self._tags for t in tags if t != _EMPTY)
+        return sum(map(len, self._sets))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.resident_pages())

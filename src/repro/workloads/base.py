@@ -24,30 +24,6 @@ import numpy as np
 from repro.util.rng import RngLike, SeedSequenceFactory
 
 
-@dataclass(frozen=True)
-class StreamSequences:
-    """Precomputed per-access derived sequences for one stream.
-
-    The batched simulation engine's TLB loop consumes these instead of
-    re-splitting every address on every access: the VPN split is
-    vectorized once per stream in numpy, and the same-VPN *run* boundaries
-    — the positions where the fast path must fall back to a full scalar
-    translation — are extracted with one ``flatnonzero`` over the
-    shifted-difference mask.
-
-    Attributes:
-        length: number of accesses.
-        vpns: per-access virtual page numbers (plain list; the engine's
-            inner loop indexes these faster than numpy scalars).
-        run_starts: sorted indices where ``vpns[i] != vpns[i-1]`` (always
-            includes 0 for non-empty streams).
-    """
-
-    length: int
-    vpns: List[int]
-    run_starts: List[int]
-
-
 @dataclass
 class AccessStream:
     """One thread's accesses within one phase.
@@ -68,37 +44,9 @@ class AccessStream:
                 f"addrs {self.addrs.shape} and writes {self.writes.shape} "
                 "must be equal-length 1-D arrays"
             )
-        self._seq_cache: dict = {}
 
     def __len__(self) -> int:
         return int(self.addrs.shape[0])
-
-    def sequences(self, page_shift: int) -> StreamSequences:
-        """Derived VPN/run-boundary sequences (cached per page size).
-
-        A stream replayed under the same page size (e.g. the OS-runs
-        ensemble of one experiment) pays the vectorized split exactly once.
-        """
-        key = page_shift
-        cached = self._seq_cache.get(key)
-        if cached is not None:
-            return cached
-        vpns_np = self.addrs >> page_shift
-        n = int(vpns_np.shape[0])
-        if n:
-            boundary = np.empty(n, dtype=bool)
-            boundary[0] = True
-            np.not_equal(vpns_np[1:], vpns_np[:-1], out=boundary[1:])
-            run_starts = np.flatnonzero(boundary).tolist()
-        else:
-            run_starts = []
-        seq = StreamSequences(
-            length=n,
-            vpns=vpns_np.tolist(),
-            run_starts=run_starts,
-        )
-        self._seq_cache[key] = seq
-        return seq
 
     @classmethod
     def empty(cls) -> "AccessStream":

@@ -9,8 +9,9 @@ including per-core cycles and per-phase breakdowns, plus every counter
 of the memory system: each L1 and L2, the coherence bus, the
 interconnect (message kinds in order of first use) and the NUMA model.
 They cover the synthetic pattern classes, one NPB kernel per pattern
-class, the feature matrix (noise, detectors, NUMA, Nehalem, remapping)
-and the configurations the batched engine treats specially.
+class plus IS (also under both detectors), the feature matrix (noise,
+detectors, NUMA, Nehalem, remapping) and the configurations the batched
+engine treats specially, and pin how a run is cut into segments.
 """
 
 import dataclasses
@@ -31,6 +32,7 @@ from repro.machine.simulator import (
 )
 from repro.machine.system import System, SystemConfig
 from repro.machine.topology import harpertown, nehalem
+from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.numa import NUMAConfig
 from repro.tlb.mmu import TLBManagement
 from repro.workloads import (
@@ -115,8 +117,10 @@ SYNTHETIC_CLASSES = [
 ]
 
 #: One NPB kernel per pattern class (domain / homogeneous / none /
-#: domain+distant), kept tiny: this is a correctness diff, not a bench.
-NPB_PER_CLASS = ["sp", "cg", "ep", "lu"]
+#: domain+distant), plus IS, the TLB-miss-heavy kernel whose staggered
+#: exchange bursts share a segment; kept tiny: this is a correctness
+#: diff, not a bench.
+NPB_PER_CLASS = ["sp", "cg", "ep", "lu", "is"]
 
 
 class TestSyntheticClasses:
@@ -132,6 +136,37 @@ class TestNPBKernels:
         assert_identical(
             lambda: make_npb_workload(name, num_threads=8, scale=0.08, seed=7)
         )
+
+
+class TestISDetectors:
+    """IS under both detection mechanisms: the SM hook fires inside the
+    run heads' translations, the HM scan between rounds of bursts that
+    share one segment."""
+
+    @staticmethod
+    def make_wl():
+        return make_npb_workload("is", num_threads=8, scale=0.08, seed=7)
+
+    def test_is_under_sm_detector(self):
+        def sw_system():
+            return System(harpertown(), SystemConfig(
+                tlb_management=TLBManagement.SOFTWARE))
+
+        res, _ = assert_identical(
+            self.make_wl,
+            make_system=sw_system,
+            detectors=lambda: [SoftwareManagedDetector(
+                8, DetectorConfig(sm_sample_threshold=4))],
+        )
+        assert res.detection["SM"]["matches_found"] > 0
+
+    def test_is_under_hm_detector(self):
+        res, _ = assert_identical(
+            self.make_wl,
+            detectors=lambda: [HardwareManagedDetector(
+                8, DetectorConfig(hm_period_cycles=20_000))],
+        )
+        assert res.detection["HM"]["matches_found"] > 0
 
 
 class TestFeatureMatrix:
@@ -241,6 +276,66 @@ class TestSpecialSegments:
             lambda: FalseSharingWorkload(num_threads=8, seed=5),
             make_system=lambda: System(nehalem()),
         )
+
+
+class NeverRemap:
+    """Controller stub that ticks every round and never remaps."""
+
+    migration_cost_cycles = 0
+    tick_interval_cycles = 1
+
+    def on_phase_end(self, phase_index, now_cycles, mapping):
+        return None
+
+    def on_tick(self, now_cycles, mapping):
+        return None
+
+
+class TestSegmentation:
+    """How the batched engine cuts a run into ``access_batch`` calls.
+
+    IS runs a rank phase on every core, then four exchange bursts on
+    disjoint core pairs: one segment for the rank phase and one for the
+    four bursts.  Phase stats read cache counters at every barrier, so
+    each phase is a segment; a ticking controller may remap between
+    rounds, so each round is.  Totals are the same every way.
+    """
+
+    @staticmethod
+    def run_counting(controller=None, **cfg_kwargs):
+        system = System(harpertown())
+        hierarchy = system.hierarchy
+        calls = []
+
+        def counting(cores, lines, writes, start, end):
+            calls.append(end - start)
+            return MemoryHierarchy.access_batch(
+                hierarchy, cores, lines, writes, start, end)
+
+        hierarchy.access_batch = counting
+        result = Simulator(system, SimConfig(engine="batched", **cfg_kwargs)).run(
+            make_npb_workload("is", num_threads=8, scale=1.0, seed=7),
+            migration_controller=controller,
+        )
+        totals = dataclasses.asdict(result)
+        del totals["phases"]
+        return totals, calls
+
+    def test_is_segments(self):
+        workload = make_npb_workload("is", num_threads=8, scale=1.0, seed=7)
+        phases = list(workload.phases())
+        rounds = sum(-(-max(len(s) for s in p.streams) // SimConfig().quantum)
+                     for p in phases)
+        assert workload.iterations == 2 and len(phases) == 10
+
+        coalesced, calls = self.run_counting()
+        assert len(calls) == 2 * workload.iterations
+        assert sum(calls) == coalesced["accesses"]
+        per_phase, calls = self.run_counting(collect_phase_stats=True)
+        assert len(calls) == 5 * workload.iterations
+        per_round, calls = self.run_counting(controller=NeverRemap())
+        assert len(calls) == rounds
+        assert coalesced == per_phase == per_round
 
 
 class TestPropertyRandomWorkloads:

@@ -1,7 +1,10 @@
-"""Loop-based reference implementations kept for differential testing.
+"""Reference implementations kept for differential testing.
 
-Each module here holds the per-element Python version of a routine the
-program now computes with array code.  The differential suite
-(``tests/test_array_differential.py``) requires the array code to give
-bit-for-bit equal results.  Nothing under ``src/`` imports these.
+Each module here holds an earlier version of a routine the program now
+computes another way: the per-element Python loops behind the array code
+on the ``/map`` miss path (``tests/test_array_differential.py``), and the
+per-way stamp TLB behind the recency-ordered one
+(``tests/tlb/test_tlb_differential.py``).  The differential suites
+require bit-for-bit equal results from both.  Nothing under ``src/``
+imports these.
 """

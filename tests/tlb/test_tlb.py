@@ -144,9 +144,9 @@ class TestLifetimeBound:
 
 
 class TestSentinelCollision:
-    """Regression: empty ways are tagged with the sentinel ``-1``.
+    """Regression: a per-way representation tagged empty ways ``-1``.
 
-    The old ``probe`` compared the query VPN against raw way tags, so
+    Its ``probe`` once compared the query VPN against raw way tags, so
     ``probe(-1)`` on a TLB with any empty way reported a phantom hit —
     and a detector scanning residency with out-of-range VPNs counted
     matches between cores that share nothing.

@@ -16,6 +16,7 @@
 #   make remap-smoke   online-remapping gate: pinned outcome, deterministic
 #   make test-chaos    fault-injection chaos harness (fixed replay seeds)
 #   make trace-smoke   `repro trace` twice per clock domain, byte-compare
+#   make bench-check   fresh-cache bench run, every tracked artifact unchanged
 #   make ci            every target above, in order
 #   make bench         full figure/table benchmark harness
 #
@@ -25,7 +26,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-full test test-scalar differential bench-engine spec-smoke serve-smoke cluster-smoke remap-smoke test-chaos trace-smoke bench ci
+.PHONY: lint lint-full test test-scalar differential bench-engine spec-smoke serve-smoke cluster-smoke remap-smoke test-chaos trace-smoke bench-check bench ci
 
 # Incremental by default: warm re-runs only re-analyze changed files
 # (cache: .repro-lint-cache/, safe to delete).  Honors REPRO_LINT_NO_CACHE=1.
@@ -100,7 +101,14 @@ trace-smoke:
 	cmp "$$tmp/svc-1.json" "$$tmp/svc-2.json" && \
 	echo "trace-smoke: both clock domains byte-identical"
 
+# Artifact gate: the bench suite, run with a fresh result cache and the
+# default REPRO_BENCH_* knobs, must rewrite every tracked file under
+# benchmarks/out/ and BENCH_remap.json byte-identically (compared with
+# their content before the run, so an uncommitted regeneration passes).
+bench-check:
+	$(PYTHON) benchmarks/artifact_check.py
+
 bench:
 	$(PYTHON) -m pytest benchmarks -q
 
-ci: lint lint-full test test-scalar differential bench-engine spec-smoke serve-smoke cluster-smoke remap-smoke test-chaos trace-smoke
+ci: lint lint-full test test-scalar differential bench-engine spec-smoke serve-smoke cluster-smoke remap-smoke test-chaos trace-smoke bench-check

@@ -88,7 +88,7 @@ class HandRolledSweepRule(Rule):
         #: Constructing/calling any of these inside a loop body is the
         #: hand-rolled-sweep signature.
         "grid-calls": ["ExperimentConfig", "SimConfig", "ExperimentRunner",
-                       "Simulator", "run_suite"],
+                       "Simulator", "run_benchmark"],
     }
 
     def check(self, project: Project) -> Iterator[Finding]:

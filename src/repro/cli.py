@@ -9,8 +9,6 @@ Commands:
   print (or write) the reproduction report (the ``report`` spec).
 * ``record`` / ``replay`` — save a workload's trace to .npz / run a saved
   trace through the simulator.
-* ``ablate`` — run one of the design-choice sweeps (sampling, HM period,
-  TLB geometry, page size, L2 TLB, mapper comparison) and print the table.
 * ``run-spec`` — execute a declarative experiment spec
   (``benchmarks/specs/*.toml``) through the memoizing grid runner and
   print or write its rendered artifacts (see
@@ -203,15 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="KEY=VALUE",
                    help="runtime param layered over the spec's overrides "
                         "(repeatable), e.g. --set scale=0.1")
-
-    p = sub.add_parser("ablate", help="run one ablation sweep")
-    p.add_argument("sweep", choices=("sm-sampling", "hm-period",
-                                     "tlb-geometry", "page-size", "l2-tlb",
-                                     "mappers"))
-    p.add_argument("--benchmark", default=None,
-                   help="NPB kernel (default: each sweep's canonical one)")
-    p.add_argument("--scale", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=2012)
 
     p = sub.add_parser(
         "obs",
@@ -499,35 +488,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ablate(args: argparse.Namespace) -> int:
-    from repro.experiments import ablations
-    from repro.util.render import format_table
-
-    sweeps = {
-        "sm-sampling": (ablations.sm_sampling_sweep, "sp"),
-        "hm-period": (ablations.hm_period_sweep, "sp"),
-        "tlb-geometry": (ablations.tlb_geometry_sweep, "bt"),
-        "page-size": (ablations.page_size_sweep, "bt"),
-        "l2-tlb": (ablations.l2_tlb_sweep, "sp"),
-    }
-    if args.sweep == "mappers":
-        costs = ablations.mapper_comparison(
-            args.benchmark or "sp", scale=args.scale, seed=args.seed
-        )
-        rows = [[name, f"{cost:.0f}"] for name, cost in
-                sorted(costs.items(), key=lambda kv: kv[1])]
-        print(format_table(rows, header=["mapper", "cost (lower is better)"]))
-        return 0
-    fn, default_bench = sweeps[args.sweep]
-    records = fn(args.benchmark or default_bench, scale=args.scale,
-                 seed=args.seed)
-    header = list(records[0])
-    rows = [[f"{rec[k]:.4g}" if isinstance(rec[k], float) else str(rec[k])
-             for k in header] for rec in records]
-    print(format_table(rows, header=header))
-    return 0
-
-
 def _parse_spec_param(text: str) -> tuple:
     """``KEY=VALUE`` with int/float coercion (strings pass through)."""
     key, sep, value = text.partition("=")
@@ -601,8 +561,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_record(args)
     if args.command == "replay":
         return _cmd_replay(args)
-    if args.command == "ablate":
-        return _cmd_ablate(args)
     if args.command == "run-spec":
         return _cmd_run_spec(args)
     if args.command == "trace":

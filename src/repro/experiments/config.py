@@ -74,23 +74,10 @@ class ExperimentConfig:
         check_positive("sm_sample_threshold", self.sm_sample_threshold)
         check_positive("hm_period_cycles", self.hm_period_cycles)
         check_positive("cache_scale", self.cache_scale)
+        if self.detection_windows is not None:
+            check_positive("detection_windows", self.detection_windows)
         if not 0.0 <= self.noise_rate <= 1.0:
             raise ValueError("noise_rate must be in [0, 1]")
         unknown = set(self.benchmarks) - set(PAPER_BENCHMARKS)
         if unknown:
             raise ValueError(f"unknown benchmarks: {sorted(unknown)}")
-
-    def quick(self) -> "ExperimentConfig":
-        """A cheap variant for tests/CI: small traces, tiny ensembles."""
-        return ExperimentConfig(
-            benchmarks=self.benchmarks,
-            num_threads=self.num_threads,
-            scale=min(self.scale, 0.25),
-            seed=self.seed,
-            os_runs=2,
-            mapped_runs=1,
-            sm_sample_threshold=4,
-            hm_period_cycles=50_000,
-            cache_scale=self.cache_scale,
-            detection_windows=self.detection_windows,
-        )

@@ -20,8 +20,9 @@ Four pipelines cover the bench corpus:
     on-disk memoization and fault sites.
 ``ablation``
     One knob swept over ``spec.sweep`` values; each sweep point is an
-    independently memoized cell (``variant`` picks the routine and its
-    table from :data:`ABLATION_AXES`).
+    independently memoized cell (``variant`` picks the point function,
+    its range check and its table from
+    :data:`repro.experiments.ablations.ABLATION_AXES`).
 ``engine``
     The scalar-vs-batched engine parity + speedup smoke.  Counter rows
     are deterministic and asserted bit-identical; wall timings are
@@ -46,6 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.experiments.ablations import ABLATION_AXES
 from repro.experiments.cache import ResultCache, config_key
 from repro.experiments.config import PAPER_BENCHMARKS, ExperimentConfig
 from repro.experiments.runner import BenchmarkResult, ExperimentRunner, _run_benchmark_task
@@ -78,55 +80,6 @@ TOPOLOGIES: Dict[str, Callable[..., Topology]] = {
 
 #: Execution pipelines a spec may select.
 PIPELINES = ("protocol", "ablation", "engine", "static")
-
-
-@dataclass(frozen=True)
-class AblationAxis:
-    """One ablation variant: what it sweeps and how its table reads.
-
-    The runner is ``repro.experiments.ablations.<variant>_sweep``, called
-    with ``{sweep: (point,)}`` plus ``scale``, ``seed`` and ``topology``.
-    """
-
-    #: The spec's ``[sweep]`` key, e.g. ``thresholds``.
-    sweep: str
-    #: Record fields that hold a sweep point; a point has one number per
-    #: key (``tlb_geometry`` points are ``[entries, ways]`` pairs).
-    keys: Tuple[str, ...]
-    header: Tuple[str, ...]
-    row: Callable[[Mapping[str, float]], List[object]]
-
-
-#: Ablation variants by name.  Each routine is a pure function of its
-#: arguments, which is what makes per-point memoization sound.
-ABLATION_AXES: Dict[str, AblationAxis] = {
-    "sm_sampling": AblationAxis(
-        "thresholds", ("threshold",),
-        ("n (sample 1/n misses)", "accuracy (Pearson)", "overhead", "searches"),
-        lambda r: [int(r["threshold"]), f"{r['accuracy']:.3f}",
-                   f"{100 * r['overhead']:.3f}%", int(r["searches"])]),
-    "hm_period": AblationAxis(
-        "periods", ("period",),
-        ("period (cycles)", "scans", "accuracy (Pearson)", "overhead"),
-        lambda r: [int(r["period"]), int(r["scans"]), f"{r['accuracy']:.3f}",
-                   f"{100 * r['overhead']:.3f}%"]),
-    "tlb_geometry": AblationAxis(
-        "geometries", ("entries", "ways"),
-        ("entries", "ways", "accuracy", "miss rate", "matches"),
-        lambda r: [int(r["entries"]), int(r["ways"]), f"{r['accuracy']:.3f}",
-                   f"{100 * r['tlb_miss_rate']:.3f}%", int(r["matches"])]),
-    "page_size": AblationAxis(
-        "page_sizes", ("page_size",),
-        ("page size", "TLB miss rate", "SM matches", "SM accuracy", "HM accuracy"),
-        lambda r: [f"{int(r['page_size']) // 1024} KiB",
-                   f"{100 * r['miss_rate']:.3f}%", int(r["sm_matches"]),
-                   f"{r['sm_accuracy']:.2f}", f"{r['hm_accuracy']:.2f}"]),
-    "l2_tlb": AblationAxis(
-        "l2_entries", ("l2_entries",),
-        ("L2-TLB entries", "page walks", "SM searches", "SM accuracy"),
-        lambda r: ["none" if r["l2_entries"] == 0 else str(int(r["l2_entries"])),
-                   int(r["walks"]), int(r["searches"]), f"{r['accuracy']:.2f}"]),
-}
 
 #: Detection mechanisms the paper compares.
 MECHANISMS = ("SM", "HM")
@@ -167,18 +120,21 @@ def _check(cond: bool, message: str) -> None:
         raise ValidationError(message)
 
 
+def _is_int(value: Any) -> bool:
+    """A TOML integer (bool is an int subclass: excluded)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_number(value: Any) -> bool:
-    """A TOML integer or finite float (bool is an int subclass: excluded)."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    """A TOML integer or finite float."""
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
 def _is_point(point: Any, arity: int) -> bool:
-    """A sweep point: ``arity`` non-negative numbers (a bare one if 1)."""
+    """A sweep point: ``arity`` non-negative integers (a bare one if 1)."""
     values = (point,) if arity == 1 else point
     return (isinstance(values, tuple) and len(values) == arity
-            and all(_is_number(v) and v >= 0 for v in values))
+            and all(_is_int(v) and v >= 0 for v in values))
 
 
 @dataclass(frozen=True)
@@ -193,7 +149,7 @@ class ExperimentSpec:
 
     name: str
     pipeline: str = "protocol"
-    #: Ablation routine (``ABLATION_AXES`` key); empty for other pipelines.
+    #: Ablation variant (``ABLATION_AXES`` key); empty for other pipelines.
     variant: str = ""
     kernels: Tuple[str, ...] = ()
     topologies: Tuple[str, ...] = ("harpertown",)
@@ -244,8 +200,7 @@ class ExperimentSpec:
             _check(m in MECHANISMS, f"unknown mechanism {m!r}")
         _check(bool(self.seeds), "spec needs at least one seed")
         for s in self.seeds:
-            _check(isinstance(s, int) and not isinstance(s, bool) and s >= 0,
-                   f"seed {s!r} must be an integer >= 0")
+            _check(_is_int(s) and s >= 0, f"seed {s!r} must be an integer >= 0")
         if self.pipeline == "ablation":
             _check(isinstance(self.variant, str) and self.variant in ABLATION_AXES,
                    f"unknown ablation variant {self.variant!r} "
@@ -259,7 +214,8 @@ class ExperimentSpec:
             for p in points:
                 _check(_is_point(p, len(axis.keys)),
                        f"sweep axis {axis.sweep!r} point {p!r} must be "
-                       f"{len(axis.keys)} non-negative number(s)")
+                       f"{len(axis.keys)} non-negative integer(s)")
+                axis.check(p)
         else:
             _check(self.variant == "",
                    f"variant is only valid for the ablation pipeline, got {self.variant!r}")
@@ -311,8 +267,7 @@ def validate_overrides(overrides: Mapping[str, Any]) -> None:
         if _CONFIG_FIELDS[key] is float:
             _check(_is_number(value), f"override {key} = {value!r} must be a number")
         else:
-            _check(isinstance(value, int) and not isinstance(value, bool),
-                   f"override {key} = {value!r} must be an integer")
+            _check(_is_int(value), f"override {key} = {value!r} must be an integer")
 
 
 # -- TOML round-trip ---------------------------------------------------------
@@ -429,13 +384,25 @@ def run_spec(
     ``params`` layers runtime knobs (typically scale/ensemble sizes from
     the bench environment) over ``spec.overrides``; keys must be
     ExperimentConfig fields or one of the pipeline extras
-    (``speedup_floor``, ``engine_repeats``).
+    (``speedup_floor``, ``engine_repeats``).  Every param is checked, and
+    ``num_threads`` against the cores of each spec topology, before any
+    cell runs.
     """
     params = dict(params or {})
     unknown = sorted(set(params) - set(_CONFIG_FIELDS) - set(_EXTRA_PARAMS))
     _check(not unknown, f"unknown runtime param(s) {unknown}")
-    for k in _EXTRA_PARAMS:
-        _check(_is_number(params.get(k, 0)), f"param {k} = {params.get(k)!r} must be a number")
+    floor = params.get("speedup_floor")
+    _check(floor is None or _is_number(floor),
+           f"param speedup_floor = {floor!r} must be a number")
+    repeats = params.get("engine_repeats")
+    _check(repeats is None or (_is_int(repeats) and repeats >= 1),
+           f"param engine_repeats = {repeats!r} must be a positive integer")
+    config = spec.config(params=params)
+    for name in spec.topologies:
+        cores = TOPOLOGIES[name](cache_scale=config.cache_scale).num_cores
+        _check(config.num_threads <= cores,
+               f"num_threads = {config.num_threads} exceeds the {cores} cores "
+               f"of topology {name!r}")
     cache = ResultCache(cache_dir, max_bytes=cache_bytes) if cache_dir else None
     run = _PIPELINE_RUNNERS[spec.pipeline](spec, params, workers, cache)
     for name in spec.reports:
@@ -522,30 +489,15 @@ def _ablation_cell(
     scale: float,
     seed: int,
     topology: Topology,
-    point: float,
+    point: Any,
     cache_dir: "str | None",
 ) -> Dict[str, float]:
-    """One memoized ablation sweep point.
-
-    Sweep routines build fresh workloads per point from a seed derived
-    only from (seed, kernel), so a single-point call returns exactly the
-    record a full sweep would have produced at that point.
-    """
-    from repro.experiments import ablations
-
-    key = None
-    cache = ResultCache(cache_dir) if cache_dir else None
-    if cache is not None:
-        key = _ablation_key(variant, kernel, scale, seed, topology, point)
-        hit = cache.get(key)
-        if isinstance(hit, dict):
-            return hit
-    sweep = getattr(ablations, f"{variant}_sweep")
-    axis = ABLATION_AXES[variant].sweep
-    kwargs = {axis: (point,), "scale": scale, "seed": seed, "topology": topology}
-    record = sweep(kernel, **kwargs)[0]
-    if cache is not None:
-        cache.put(key, record)
+    """One ablation sweep point, stored in the cache when there is one
+    (:func:`_run_ablation` dispatches only points it missed there)."""
+    record = ABLATION_AXES[variant].run(kernel, point, scale, seed, topology)
+    if cache_dir:
+        ResultCache(cache_dir).put(
+            _ablation_key(variant, kernel, scale, seed, topology, point), record)
     return record
 
 
@@ -555,7 +507,7 @@ def _ablation_key(
     scale: float,
     seed: int,
     topology: Topology,
-    point: float,
+    point: Any,
 ) -> str:
     return config_key("spec-ablation", variant, kernel, float(scale),
                       int(seed), topology, point)
@@ -629,8 +581,8 @@ def _run_ablation(
     seed = spec.seeds[0]
     topology = TOPOLOGIES[spec.topologies[0]](cache_scale=config.cache_scale)
     hits = misses = 0
-    tasks: Dict[float, Tuple[Any, ...]] = {}
-    records: Dict[float, Dict[str, float]] = {}
+    tasks: Dict[Any, Tuple[Any, ...]] = {}
+    records: Dict[Any, Dict[str, float]] = {}
     for point in points:
         if cache is not None:
             warm = cache.get(
@@ -676,7 +628,7 @@ def _run_engine(
 
     config = spec.config(params=params)
     kernel = spec.kernels[0]
-    repeats = int(params.get("engine_repeats", 2))
+    repeats = params.get("engine_repeats", 2)
     topology = TOPOLOGIES[spec.topologies[0]](cache_scale=config.cache_scale)
 
     def timed(engine: str):

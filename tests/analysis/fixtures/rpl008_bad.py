@@ -1,15 +1,14 @@
 """Fixture: RPL008 must flag hand-rolled config sweeps in bench scripts."""
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_suite
 from repro.machine.simulator import SimConfig, Simulator
 
 
-def sweep_scales(scales):
+def sweep_kernels(runner, kernels):
     results = []
-    for scale in scales:
-        config = ExperimentConfig(scale=scale)
-        results.append(run_suite(config))
+    for kernel in kernels:
+        config = ExperimentConfig(benchmarks=(kernel,))
+        results.append((config, runner.run_benchmark(kernel)))
     return results
 
 

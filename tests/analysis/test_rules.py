@@ -208,11 +208,11 @@ class TestRPL008:
     def test_flags_hand_rolled_sweeps(self):
         findings = lint_fixture("rpl008_bad.py", fixture_config(rpl008=RPL008))
         assert rule_ids(findings) == {"RPL008"}
-        # for-loop (ExperimentConfig + run_suite), while-loop
+        # for-loop (ExperimentConfig + runner.run_benchmark), while-loop
         # (Simulator + SimConfig), comprehension (SimConfig).
         assert len(findings) == 5
         messages = " ".join(f.message for f in findings)
-        for name in ("ExperimentConfig", "run_suite", "Simulator", "SimConfig"):
+        for name in ("ExperimentConfig", "run_benchmark", "Simulator", "SimConfig"):
             assert name in messages
         assert "port this bench" in messages
 

@@ -1,21 +1,21 @@
-"""Tests for the ablation sweeps (tiny configurations)."""
+"""Tests for the ablation variants (tiny configurations)."""
 
 import pytest
 
-from repro.experiments.ablations import (
-    hm_period_sweep,
-    l2_tlb_sweep,
-    mapper_comparison,
-    page_size_sweep,
-    sm_sampling_sweep,
-    tlb_geometry_sweep,
-)
+from repro.experiments.ablations import ABLATION_AXES, mapper_comparison
+from repro.machine.topology import harpertown
+
+
+def _sweep(variant, points):
+    """One record per point, the way an ablation spec runs them."""
+    run = ABLATION_AXES[variant].run
+    return [run("bt", point, 0.12, 2012, harpertown()) for point in points]
 
 
 class TestSMSweep:
     @pytest.fixture(scope="class")
     def sweep(self):
-        return sm_sampling_sweep("bt", thresholds=(1, 8, 64), scale=0.12)
+        return _sweep("sm_sampling", (1, 8, 64))
 
     def test_record_fields(self, sweep):
         assert len(sweep) == 3
@@ -34,25 +34,25 @@ class TestSMSweep:
 
 class TestHMSweep:
     def test_shorter_period_more_scans(self):
-        sweep = hm_period_sweep("bt", periods=(20_000, 400_000), scale=0.12)
+        sweep = _sweep("hm_period", (20_000, 400_000))
         assert sweep[0]["scans"] > sweep[1]["scans"]
         assert sweep[0]["overhead"] > sweep[1]["overhead"]
 
 
 class TestTLBGeometrySweep:
     def test_runs_all_geometries(self):
-        sweep = tlb_geometry_sweep("bt", geometries=((16, 4), (64, 4)), scale=0.12)
+        sweep = _sweep("tlb_geometry", ((16, 4), (64, 4)))
         assert [r["entries"] for r in sweep] == [16.0, 64.0]
 
     def test_smaller_tlb_higher_miss_rate(self):
-        sweep = tlb_geometry_sweep("bt", geometries=((16, 4), (256, 4)), scale=0.12)
+        sweep = _sweep("tlb_geometry", ((16, 4), (256, 4)))
         assert sweep[0]["tlb_miss_rate"] > sweep[1]["tlb_miss_rate"]
 
 
 class TestMapperComparison:
     @pytest.fixture(scope="class")
     def costs(self):
-        return mapper_comparison("bt", scale=0.12)
+        return mapper_comparison("bt", scale=0.12, seed=2012)
 
     def test_all_mappers_present(self, costs):
         assert set(costs) == {
@@ -72,13 +72,25 @@ class TestMapperComparison:
 
 class TestPageSizeSweep:
     def test_miss_rate_monotone(self):
-        records = page_size_sweep("bt", page_sizes=(4096, 65536), scale=0.12)
+        records = _sweep("page_size", (4096, 65536))
         assert records[0]["miss_rate"] >= records[1]["miss_rate"]
         assert {"page_size", "sm_accuracy", "hm_accuracy"} <= set(records[0])
 
 
 class TestL2TLBSweep:
     def test_l2_tlb_reduces_walks_and_searches(self):
-        records = l2_tlb_sweep("bt", l2_entries=(None, 512), scale=0.12)
+        records = _sweep("l2_tlb", (0, 512))
         assert records[0]["walks"] >= records[1]["walks"]
         assert records[0]["searches"] >= records[1]["searches"]
+
+
+class TestPointChecks:
+    @pytest.mark.parametrize("variant,point", [
+        ("sm_sampling", 1), ("hm_period", 1), ("tlb_geometry", (64, 64)),
+        ("page_size", 4096), ("l2_tlb", 0), ("l2_tlb", 4),
+    ])
+    def test_edge_point_is_accepted(self, variant, point):
+        # Threshold and period 1, a fully associative TLB, no L2 TLB and
+        # one as small as its 4 ways.  Rejected points are covered through
+        # `repro run-spec` in tests/test_cli.py.
+        ABLATION_AXES[variant].check(point)

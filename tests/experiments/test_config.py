@@ -27,7 +27,7 @@ class TestValidation:
     @pytest.mark.parametrize("field,value", [
         ("scale", 0), ("os_runs", 0), ("mapped_runs", 0),
         ("sm_sample_threshold", 0), ("hm_period_cycles", 0),
-        ("cache_scale", 0), ("num_threads", 0),
+        ("cache_scale", 0), ("num_threads", 0), ("detection_windows", 0),
     ])
     def test_positive_fields(self, field, value):
         with pytest.raises(ValueError):
@@ -35,17 +35,6 @@ class TestValidation:
 
 
 class TestQuick:
-    def test_quick_is_cheaper(self):
-        cfg = ExperimentConfig()
-        q = cfg.quick()
-        assert q.scale <= 0.25
-        assert q.os_runs <= cfg.os_runs
-        assert q.mapped_runs <= cfg.mapped_runs
-
-    def test_quick_preserves_benchmarks(self):
-        cfg = ExperimentConfig(benchmarks=("bt", "sp"))
-        assert cfg.quick().benchmarks == ("bt", "sp")
-
     def test_frozen(self):
         with pytest.raises(Exception):
             ExperimentConfig().scale = 2.0

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.specs import ABLATION_AXES, REPORTS, SPEC_DIR, load_spec
+from repro.experiments.ablations import ABLATION_AXES
+from repro.experiments.specs import REPORTS, SPEC_DIR, load_spec
 
 OUT_DIR = SPEC_DIR.parent / "out"
 GOLDEN = Path(__file__).with_name("data") / "spec_golden.json"

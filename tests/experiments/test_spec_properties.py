@@ -21,9 +21,9 @@ import tomllib
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.experiments.ablations import ABLATION_AXES
 from repro.experiments.config import PAPER_BENCHMARKS
 from repro.experiments.specs import (
-    ABLATION_AXES,
     MECHANISMS,
     PIPELINES,
     SPEC_SCHEMA,
@@ -60,6 +60,19 @@ override_values = {
 overrides_st = st.fixed_dictionaries(
     {}, optional={k: v for k, v in override_values.items()})
 
+powers_of_two = st.integers(0, 20).map(lambda k: 2 ** k)
+#: Points each ablation variant accepts: integers, powers of two for TLB
+#: and page geometry, ``[entries, ways]`` with ways <= entries, and L2-TLB
+#: entries of 0 (none) or at least its 4 ways.
+sweep_points = {
+    "thresholds": st.integers(1, 512),
+    "periods": st.integers(1, 10_000_000),
+    "geometries": st.tuples(powers_of_two, powers_of_two).map(
+        lambda p: (max(p), min(p))),
+    "page_sizes": powers_of_two,
+    "l2_entries": st.just(0) | powers_of_two.filter(lambda n: n >= 4),
+}
+
 
 @st.composite
 def specs(draw) -> ExperimentSpec:
@@ -80,12 +93,9 @@ def specs(draw) -> ExperimentSpec:
     if pipeline == "ablation":
         variant = draw(st.sampled_from(sorted(ABLATION_AXES)))
         axis = ABLATION_AXES[variant]
-        point = st.integers(1, 512) | safe_floats
-        if len(axis.keys) > 1:
-            point = st.tuples(*[point] * len(axis.keys))
         kw["variant"] = variant
         kw["sweep"] = {axis.sweep: tuple(draw(st.lists(
-            point, min_size=1, max_size=5)))}
+            sweep_points[axis.sweep], min_size=1, max_size=5)))}
     return ExperimentSpec(**kw)
 
 

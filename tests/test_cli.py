@@ -76,6 +76,43 @@ class TestRunSpec:
         assert main(["run-spec", "table1_mechanisms", "--set", "scale=big"]) == 2
         assert "scale" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec,args", [
+        ("engine_speedup", ["--set", "engine_repeats=0"]),
+        ("engine_speedup", ["--set", "engine_repeats=-2"]),
+        ("engine_speedup", ["--set", "engine_repeats=1.7"]),
+        ("fig6_exec_time", ["--set", "num_threads=16"]),
+        ("fig6_exec_time", ["--set", "detection_windows=0"]),
+        ("tlb_geometry", ["geometries = [[16, 64]]"]),
+        ("page_size", ["page_sizes = [3000]"]),
+        ("page_size", ["page_sizes = [4096.0]"]),
+        ("sm_sampling", ["thresholds = [0]"]),
+        ("sm_sampling", ["thresholds = [1.5]"]),
+        ("hm_period", ["periods = [0]"]),
+        ("l2_tlb", ["l2_entries = [2]"]),
+        ("l2_tlb", ["l2_entries = [3]"]),
+    ], ids=["repeats-0", "repeats-negative", "repeats-float", "threads-16",
+            "windows-0", "geometry-ways", "page-size-3000", "page-size-float",
+            "threshold-0", "threshold-float", "period-0", "l2-entries-2",
+            "l2-entries-3"])
+    def test_rejected_before_any_cell_runs(self, tmp_path, monkeypatch, capsys,
+                                           spec, args):
+        from repro.experiments import specs
+
+        def no_cells(*_):
+            pytest.fail("a pipeline ran cells for a spec it should reject")
+
+        for pipeline in specs.PIPELINES:
+            monkeypatch.setitem(specs._PIPELINE_RUNNERS, pipeline, no_cells)
+        if not args[0].startswith("--set"):
+            # An ablation variant with one [sweep] line.
+            path = tmp_path / "bad.toml"
+            path.write_text("\n".join([
+                'name = "bad"', 'pipeline = "ablation"', f'variant = "{spec}"',
+                'kernels = ["sp"]', "[sweep]"] + args))
+            spec, args = str(path), []
+        assert main(["run-spec", spec, *args]) == 2
+        assert capsys.readouterr().err.startswith("repro run-spec: ")
+
 
 class TestRecordReplay:
     def test_round_trip(self, tmp_path, capsys):
@@ -108,22 +145,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
-
-class TestAblate:
-    def test_mappers_table(self, capsys):
-        assert main(["ablate", "mappers", "--scale", "0.12"]) == 0
-        out = capsys.readouterr().out
-        assert "hierarchical" in out and "optimal" in out
-
-    def test_sweep_table(self, capsys):
-        assert main(["ablate", "l2-tlb", "--benchmark", "bt",
-                     "--scale", "0.12"]) == 0
-        out = capsys.readouterr().out
-        assert "l2_entries" in out and "accuracy" in out
-
-    def test_unknown_sweep_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["ablate", "frobnicate"])
+    def test_ablate_is_gone(self):
+        # The ablation_* specs are the one front end to the ablation variants.
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "l2-tlb"])
+        assert exc.value.code == 2
 
 
 class TestServeArgs:
